@@ -18,10 +18,12 @@ from .generators import (
     two_regular_random,
 )
 from .hgio import ParseError, format_hypergraph, parse_hypergraph
-from .hypergraph import DualResult, Hypergraph, HypergraphError, build
+from .hypergraph import DualResult, Hypergraph, HypergraphError, InvariantError, build
 from .spectral import (
     BoundReport,
     PerronResult,
+    SpectraReport,
+    analyze_spectra,
     bound_report,
     flip_vector,
     lambda_min_upper,
@@ -51,8 +53,11 @@ __all__ = [
     "EdgeInjection",
     "Hypergraph",
     "HypergraphError",
+    "InvariantError",
     "ParseError",
     "PerronResult",
+    "SpectraReport",
+    "analyze_spectra",
     "blowup",
     "bound_report",
     "brute_force_odd_transversal",

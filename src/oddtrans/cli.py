@@ -182,61 +182,33 @@ def cmd_generate(args: argparse.Namespace) -> int:
 def cmd_spectra(args: argparse.Namespace) -> int:
     try:
         hg, _labels = _load(args.path)
-    except (OSError, hgio.ParseError, HypergraphError) as exc:
+        result = spectral.analyze_spectra(
+            hg, tol=args.tol, max_iter=args.max_iter, restarts=args.restarts, seed=args.seed
+        )
+    except (OSError, ValueError) as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 2
-    k = hg.is_uniform()
-    if k is None:
-        print("error: spectra require a uniform hypergraph", file=sys.stderr)
-        return 2
-    if not hg.is_connected():
-        print("error: spectra require a connected hypergraph", file=sys.stderr)
-        return 2
-    perron = spectral.spectral_radius(hg, tol=args.tol, max_iter=args.max_iter)
-    report = transversal.classify(hg)
+    perron = result.perron
     payload: dict[str, Any] = {
         "command": "spectra",
         "path": args.path,
         "n": hg.n,
         "m": hg.m,
-        "k": k,
+        "k": result.k,
         "rho": perron.rho,
         "perron_residual": perron.residual,
         "iterations": perron.iterations,
         "converged": perron.converged,
-        "is_minimal": report.is_minimal,
-        "lambda_min_applicable": k % 2 == 0,
-        "lambda_min_upper": None,
-        "alpha": None,
-        "beta": None,
-        "bound1": None,
-        "bound2": None,
-        "flip_value_min_edge": None,
-        "flip_identity_max_error": None,
+        "is_minimal": result.classification.is_minimal,
+        "lambda_min_applicable": result.k % 2 == 0,
+        "lambda_min_upper": result.lambda_min_upper,
+        "alpha": result.alpha,
+        "beta": result.beta,
+        "bound1": result.bound1,
+        "bound2": result.bound2,
+        "flip_value_min_edge": result.flip_value_min_edge,
+        "flip_identity_max_error": result.flip_identity_max_error,
     }
-    if k % 2 == 0:
-        if report.is_minimal:
-            bounds = spectral.bound_report(hg, restarts=args.restarts, seed=args.seed)
-            payload.update(
-                lambda_min_upper=bounds.lambda_min_upper,
-                alpha=bounds.alpha,
-                beta=bounds.beta,
-                bound1=bounds.bound1,
-                bound2=bounds.bound2,
-                flip_value_min_edge=bounds.flip_value_min_edge,
-            )
-            base = spectral.rayleigh(hg, perron.vector)
-            worst = 0.0
-            for i, e in enumerate(hg.edges):
-                y, value = spectral.flip_vector(hg, i, perron)
-                prod = 1.0
-                for v in e:
-                    prod *= perron.vector[v]
-                worst = max(worst, abs(value - (-base + 2.0 * k * prod)))
-            payload["flip_identity_max_error"] = worst
-        else:
-            lam, _ = spectral.lambda_min_upper(hg, restarts=args.restarts, seed=args.seed)
-            payload.update(lambda_min_upper=lam, alpha=perron.rho + lam, beta=-lam / perron.rho)
     if args.json:
         _emit_json(payload)
     else:
@@ -289,14 +261,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             return 2
         for m in m_list:
             hg = generators.power(generators.cycle_graph(m), args.k)
-            bounds = spectral.bound_report(hg, restarts=args.restarts, seed=args.seed)
+            result = spectral.analyze_spectra(hg, restarts=args.restarts, seed=args.seed)
             rows.append(
                 {
                     "m": m,
                     "n": hg.n,
-                    "rho": bounds.rho,
-                    "lambda_min_upper": bounds.lambda_min_upper,
-                    "beta": bounds.beta,
+                    "rho": result.perron.rho,
+                    "lambda_min_upper": result.lambda_min_upper,
+                    "beta": result.beta,
                 }
             )
         columns = ["m", "n", "rho", "lambda_min_upper", "beta"]
@@ -381,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectra.add_argument("path")
     p_spectra.add_argument("--json", action="store_true")
     p_spectra.add_argument("--tol", type=float, default=spectral.DEFAULT_BRACKET_TOL)
-    p_spectra.add_argument("--max-iter", type=int, default=100_000)
+    p_spectra.add_argument("--max-iter", type=int, default=spectral.DEFAULT_MAX_ITER)
     p_spectra.add_argument("--restarts", type=int, default=8)
     p_spectra.add_argument("--seed", type=int, default=0)
     p_spectra.set_defaults(func=cmd_spectra)

@@ -23,6 +23,14 @@ class HypergraphError(ValueError):
     """Raised when edge data violates the hypergraph invariants."""
 
 
+class InvariantError(RuntimeError):
+    """Raised when a computed result breaks a property that provably holds.
+
+    It signals a defect in the package, never bad input, and unlike an
+    ``assert`` it is not stripped by ``python -O``.
+    """
+
+
 def _component_count(members: Iterable[int], groups: Iterable[Iterable[int]]) -> int:
     """Number of connected components induced on ``members`` by ``groups``.
 

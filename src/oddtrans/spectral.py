@@ -12,7 +12,8 @@ H-eigenvalue is *estimated from above* by projected gradient descent on
 the unit k-norm sphere, warm-started from sign-flip vectors built out of
 odd bipartitions of single-edge deletions.  Any feasible point is a valid
 upper bound, so the estimates certify the closed-form bound checks; the
-exact minimum is not claimed.
+exact minimum is not claimed.  :func:`analyze_spectra` computes all of
+these quantities in one pass per hypergraph.
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import transversal
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, InvariantError
 
 DEFAULT_BRACKET_TOL = 1e-10
 DEFAULT_REPORT_TOL = 1e-8
+DEFAULT_MAX_ITER = 100_000
 _PGD_MAX_STEPS = 400
 _ARMIJO_C = 1e-4
 
@@ -98,7 +100,7 @@ class PerronResult:
 def spectral_radius(
     hg: Hypergraph,
     tol: float = DEFAULT_BRACKET_TOL,
-    max_iter: int = 100_000,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> PerronResult:
     """Shifted power iteration for the largest H-eigenvalue.
 
@@ -133,16 +135,28 @@ def spectral_radius(
     return PerronResult(hi, x, residual, iterations, False, (lo, hi))
 
 
-def _flip_across_deletion(
-    hg: Hypergraph, edge_index: int, x: np.ndarray
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Sign-flip ``x`` across an odd bipartition of the deletion ``G - e``."""
-    part = transversal.find_odd_transversal(hg.delete_edge(edge_index))
-    if part is None:
-        raise ValueError(f"deleting edge {edge_index} leaves no odd transversal")
+def _sign_flip(x: np.ndarray, part: tuple[int, ...]) -> np.ndarray:
+    """``x`` with the sign flipped on every coordinate outside ``part``."""
     y = -np.asarray(x, dtype=float)
     y[list(part)] *= -1.0
-    return y, part
+    return y
+
+
+def _flip_across_deletion(hg: Hypergraph, edge_index: int, x: np.ndarray) -> np.ndarray:
+    """Sign-flip ``x`` across an odd bipartition of the deletion ``G - e``.
+
+    For a minimal hypergraph of even uniformity the deleted edge meets the
+    flipped side in an even number of vertices: the part meets each of the
+    other m - 1 edges (an even number of them) oddly and has an even degree
+    sum, so it meets the deleted edge evenly, and so does the complement.
+    """
+    part = transversal.find_odd_transversal(hg.delete_edge(edge_index))
+    if part is None:
+        raise InvariantError(f"deleting edge {edge_index} leaves no odd transversal")
+    inside = set(part)
+    if sum(v not in inside for v in hg.edges[edge_index]) % 2:
+        raise InvariantError(f"edge {edge_index} meets the flipped side oddly")
+    return _sign_flip(x, part)
 
 
 def flip_vector(
@@ -157,7 +171,7 @@ def flip_vector(
         A y^k = -A x^k + 2k * prod_{v in e} x_v,
 
     because the deleted edge meets the flipped side in an even number of
-    vertices (asserted).  Returns ``(y, A y^k)``.
+    vertices (checked).  Returns ``(y, A y^k)``.
     """
     k = _uniformity(hg)
     if k % 2:
@@ -166,9 +180,7 @@ def flip_vector(
         raise ValueError(f"edge index {edge_index} out of range")
     if not transversal.classify(hg).is_minimal:
         raise ValueError("flip construction applies to minimal hypergraphs only")
-    y, part = _flip_across_deletion(hg, edge_index, perron.vector)
-    flipped = [v for v in hg.edges[edge_index] if v not in set(part)]
-    assert len(flipped) % 2 == 0, "deleted edge meets the flipped side oddly"
+    y = _flip_across_deletion(hg, edge_index, perron.vector)
     return y, rayleigh(hg, y)
 
 
@@ -212,41 +224,32 @@ def _descend(hg: Hypergraph, k: int, start: np.ndarray) -> tuple[float, np.ndarr
     return value, x
 
 
-def lambda_min_upper(
-    hg: Hypergraph,
-    restarts: int = 8,
-    tol: float = DEFAULT_BRACKET_TOL,
-    seed: int = 0,
-) -> tuple[float, np.ndarray]:
-    """A certified upper bound on the least H-eigenvalue (even k only).
+def _flip_starts(
+    hg: Hypergraph, x: np.ndarray, report: transversal.ClassificationReport
+) -> list[np.ndarray]:
+    """Sign flips of ``x`` across odd bipartitions, the descent starts.
 
-    Minimizes ``A x^k`` over the unit k-norm sphere from several starts:
-    sign-flip vectors built from odd bipartitions (of every single-edge
-    deletion when the hypergraph is minimal, or of the hypergraph itself
-    when it is odd-transversal) plus seeded random starts, each with its
-    own deterministic sub-seed so the reported minimum does not depend on
-    evaluation order.  Every returned value is attained by a feasible
-    point, hence a true upper bound; it also can never drop below
-    ``-rho`` (up to bracket error).
+    One per single-edge deletion, in edge order, when the hypergraph is
+    minimal; one across its own odd transversal when it has one.
     """
-    k = _uniformity(hg)
-    if k % 2:
-        raise ValueError("the least H-eigenvalue estimate needs even uniformity")
-    if not hg.is_connected():
-        raise ValueError("the estimate requires a connected hypergraph")
-    perron = spectral_radius(hg, tol=min(tol, DEFAULT_BRACKET_TOL))
-    report = transversal.classify(hg)
-    starts: list[np.ndarray] = []
     if report.is_minimal:
-        for i in range(hg.m):
-            starts.append(_flip_across_deletion(hg, i, perron.vector)[0])
-    elif report.witness is not None:
-        y = -perron.vector.copy()
-        y[list(report.witness)] *= -1.0
-        starts.append(y)
-    for i in range(restarts):
-        rng = np.random.default_rng((seed, i))
-        starts.append(rng.standard_normal(hg.n))
+        return [_flip_across_deletion(hg, i, x) for i in range(hg.m)]
+    if report.witness is not None:
+        return [_sign_flip(x, report.witness)]
+    return []
+
+
+def _least_value(
+    hg: Hypergraph, k: int, starts: list[np.ndarray], restarts: int, seed: int
+) -> tuple[float, np.ndarray]:
+    """Descend from ``starts`` plus ``restarts`` seeded random starts; keep the least.
+
+    Each random start has its own deterministic sub-seed, so the reported
+    minimum does not depend on evaluation order.
+    """
+    starts = starts + [
+        np.random.default_rng((seed, i)).standard_normal(hg.n) for i in range(restarts)
+    ]
     if not starts:
         starts.append(np.ones(hg.n))
     best_value, best_x = np.inf, None
@@ -254,8 +257,119 @@ def lambda_min_upper(
         value, x = _descend(hg, k, start)
         if value < best_value:
             best_value, best_x = value, x
-    assert best_x is not None
+    if best_x is None:
+        raise InvariantError("no descent start reached a finite value")
     return float(best_value), best_x
+
+
+def lambda_min_upper(
+    hg: Hypergraph,
+    restarts: int = 8,
+    seed: int = 0,
+) -> tuple[float, np.ndarray]:
+    """A certified upper bound on the least H-eigenvalue (even k only).
+
+    Minimizes ``A x^k`` over the unit k-norm sphere from several starts:
+    sign-flip vectors built from odd bipartitions (of every single-edge
+    deletion when the hypergraph is minimal, or of the hypergraph itself
+    when it is odd-transversal) plus seeded random starts.  Every returned
+    value is attained by a feasible point, hence a true upper bound; it
+    also can never drop below ``-rho`` (up to bracket error).
+    """
+    k = _uniformity(hg)
+    if k % 2:
+        raise ValueError("the least H-eigenvalue estimate needs even uniformity")
+    if not hg.is_connected():
+        raise ValueError("the estimate requires a connected hypergraph")
+    starts = _flip_starts(hg, spectral_radius(hg).vector, transversal.classify(hg))
+    return _least_value(hg, k, starts, restarts, seed)
+
+
+@dataclass(frozen=True)
+class SpectraReport:
+    """The adjacency-tensor quantities of one connected uniform hypergraph.
+
+    ``lambda_min_upper``, ``alpha`` and ``beta`` need even uniformity; the
+    bounds and flip values also need a minimal hypergraph.  Every value
+    derived from the Perron vector is None when the power iteration did not
+    converge.
+    """
+
+    k: int
+    perron: PerronResult
+    classification: transversal.ClassificationReport
+    lambda_min_upper: float | None = None
+    alpha: float | None = None
+    beta: float | None = None
+    bound1: float | None = None
+    bound2: float | None = None
+    flip_value_min_edge: float | None = None
+    flip_identity_max_error: float | None = None
+
+
+def analyze_spectra(
+    hg: Hypergraph,
+    tol: float = DEFAULT_BRACKET_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    restarts: int = 8,
+    seed: int = 0,
+) -> SpectraReport:
+    """Everything the least-H-eigenvalue bounds need, each computed once.
+
+    One Perron solve, one classification and, for a minimal hypergraph of
+    even uniformity, the m single-deletion sign flips, which serve both as
+    descent starts for ``lambda_min_upper`` and for the flip values:
+
+    - ``bound1 = -rho + 2k / n^{1/k}`` comes from flipping across the
+      deletion of an edge through a small Perron coordinate, ``bound2 =
+      -(1 - 2/m) * rho`` from deleting an edge of minimal Perron weight,
+      whose flip value is ``flip_value_min_edge``;
+    - ``flip_identity_max_error`` is the largest deviation over all edges
+      of a flip value from ``-A x^k + 2k * prod_{v in e} x_v``;
+    - ``alpha = rho + lambda_min_upper`` and ``beta = -lambda_min_upper /
+      rho`` quantify the distance from odd-bipartiteness (alpha 0, beta 1
+      exactly for odd-bipartite hypergraphs).
+
+    For minimal input the estimates are checked against each other at
+    ``DEFAULT_REPORT_TOL`` plus the width of the Perron bracket, since rho
+    is known only to within it; a failed check raises ``InvariantError``.
+    Non-uniform or disconnected input raises ``ValueError``.
+    """
+    k = _uniformity(hg)
+    perron = spectral_radius(hg, tol=tol, max_iter=max_iter)
+    report = transversal.classify(hg)
+    if k % 2 or not perron.converged:
+        return SpectraReport(k, perron, report)
+    x, rho = perron.vector, perron.rho
+    starts = _flip_starts(hg, x, report)
+    lam, _ = _least_value(hg, k, starts, restarts, seed)
+    alpha, beta = rho + lam, -lam / rho
+    if not report.is_minimal:
+        return SpectraReport(k, perron, report, lam, alpha, beta)
+
+    weights = []
+    for e in hg.edges:
+        prod = 1.0
+        for v in e:
+            prod *= x[v]
+        weights.append(prod)
+    values = [rayleigh(hg, y) for y in starts]
+    base = rayleigh(hg, x)
+    flip_error = max(abs(value - (-base + 2.0 * k * w)) for value, w in zip(values, weights))
+    bound1 = -rho + 2.0 * k / hg.n ** (1.0 / k)
+    bound2 = -(1.0 - 2.0 / hg.m) * rho
+    slack = DEFAULT_REPORT_TOL + (perron.bracket[1] - perron.bracket[0])
+    if not (
+        -rho - slack <= lam <= min(bound1, bound2) + slack
+        and alpha >= -slack
+        and 0.0 < beta <= 1.0 + slack
+    ):
+        raise InvariantError(
+            f"inconsistent estimates: rho={rho!r} lambda_min_upper={lam!r} "
+            f"bound1={bound1!r} bound2={bound2!r}"
+        )
+    flip_min = values[int(np.argmin(weights))]
+    return SpectraReport(k, perron, report, lam, alpha, beta, bound1, bound2, flip_min, flip_error)
 
 
 @dataclass(frozen=True)
@@ -271,49 +385,28 @@ class BoundReport:
     beta: float
 
 
-def bound_report(
-    hg: Hypergraph,
-    tol: float = DEFAULT_REPORT_TOL,
-    restarts: int = 8,
-    seed: int = 0,
-) -> BoundReport:
-    """Evaluate both closed-form upper bounds on the least H-eigenvalue.
+def bound_report(hg: Hypergraph, restarts: int = 8, seed: int = 0) -> BoundReport:
+    """Both closed-form upper bounds on the least H-eigenvalue and the estimates.
 
-    ``bound1 = -rho + 2k / n^{1/k}`` comes from flipping across the
-    deletion of an edge through a small Perron coordinate; ``bound2 =
-    -(1 - 2/m) * rho`` from deleting an edge of minimal Perron weight.
-    ``alpha = rho + lambda_min_upper`` and ``beta = -lambda_min_upper/rho``
-    quantify the distance from odd-bipartiteness (alpha 0, beta 1 exactly
-    for odd-bipartite hypergraphs).  Internal consistency of the estimates
-    is asserted at tolerance ``tol``.
+    The values are those of :func:`analyze_spectra` at the default
+    tolerance, including its consistency checks; input that is not minimal
+    of even uniformity raises ``ValueError``, and a power iteration that
+    does not converge raises ``RuntimeError``.
     """
     k = _uniformity(hg)
     if k % 2:
         raise ValueError("bound report needs even uniformity")
-    if not transversal.classify(hg).is_minimal:
+    spectra = analyze_spectra(hg, restarts=restarts, seed=seed)
+    if not spectra.classification.is_minimal:
         raise ValueError("bound report applies to minimal hypergraphs only")
-    perron = spectral_radius(hg)
-    x = perron.vector
-    rho = perron.rho
-    n, m = hg.n, hg.m
-
-    weights = []
-    for e in hg.edges:
-        prod = 1.0
-        for v in e:
-            prod *= x[v]
-        weights.append(prod)
-    e_hat = int(np.argmin(weights))
-    flip_value_min_edge = rayleigh(hg, _flip_across_deletion(hg, e_hat, x)[0])
-
-    lam, _ = lambda_min_upper(hg, restarts=restarts, seed=seed)
-    bound1 = -rho + 2.0 * k / n ** (1.0 / k)
-    bound2 = -(1.0 - 2.0 / m) * rho
-    alpha = rho + lam
-    beta = -lam / rho
-
-    assert lam >= -rho - tol
-    assert lam <= min(bound1, bound2) + tol
-    assert alpha >= -tol
-    assert 0.0 < beta <= 1.0 + tol
-    return BoundReport(rho, bound1, bound2, flip_value_min_edge, lam, alpha, beta)
+    if not spectra.perron.converged:
+        raise RuntimeError("the power iteration did not converge")
+    return BoundReport(
+        spectra.perron.rho,
+        spectra.bound1,
+        spectra.bound2,
+        spectra.flip_value_min_edge,
+        spectra.lambda_min_upper,
+        spectra.alpha,
+        spectra.beta,
+    )

@@ -240,7 +240,7 @@ def test_09_flip_identity(capsys):
         perron = spectral_radius(hg)
         base = rayleigh(hg, perron.vector)
         for i, e in enumerate(hg.edges):
-            y, value = flip_vector(hg, i, perron)  # asserts |e ∩ flipped| even
+            y, value = flip_vector(hg, i, perron)  # checks |e ∩ flipped| even
             prod = float(np.prod(perron.vector[list(e)]))
             err = abs(value - (-base + 2.0 * k * prod))
             worst = max(worst, err)

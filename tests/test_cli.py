@@ -1,9 +1,10 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from oddtrans import classify, fixtures, parse_hypergraph
+from oddtrans import classify, fixtures, parse_hypergraph, spectral, transversal
 from oddtrans.cli import main
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
@@ -190,6 +191,51 @@ def test_spectra_projective_plane_radius_is_degree(capsys, tmp_path):
     code, out, _ = run(capsys, "spectra", path, "--json")
     assert code == 0
     assert abs(json.loads(out)["rho"] - 4.0) < 1e-8
+
+
+def test_spectra_tolerance_reaches_the_bounds(capsys):
+    code, out, _ = run(
+        capsys, "spectra", FIXTURE_DIR / "nonregular_9v.hg", "--json", "--tol", "1e-3"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    rho, m = payload["rho"], payload["m"]
+    assert abs(payload["alpha"] - (rho + payload["lambda_min_upper"])) < 1e-10
+    assert abs(payload["bound2"] - (-(1.0 - 2.0 / m) * rho)) < 1e-10
+
+
+def test_spectra_without_convergence_reports_no_perron_values(capsys):
+    path = FIXTURE_DIR / "nonregular_9v.hg"
+    code, out, _ = run(capsys, "spectra", path, "--json", "--max-iter", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["converged"] is False
+    derived = [
+        "lambda_min_upper", "alpha", "beta", "bound1", "bound2",
+        "flip_value_min_edge", "flip_identity_max_error",
+    ]
+    assert {key: payload[key] for key in derived} == dict.fromkeys(derived)
+    _, default_out, _ = run(capsys, "spectra", path, "--json")
+    assert payload.keys() == json.loads(default_out).keys()
+
+
+def test_spectra_solves_and_classifies_once(capsys, monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(spectral, "spectral_radius")
+    count(transversal, "classify")
+    code, _, _ = run(capsys, "spectra", FIXTURE_DIR / "c3_pow42.hg", "--json")
+    assert code == 0
+    assert calls == {"spectral_radius": 1, "classify": 1}
 
 
 # ------------------------------------------------------------------- check

@@ -1,5 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +240,35 @@ def test_second_bound_factor_increases_with_edge_count():
 def test_bound_report_rejects_non_minimal_input():
     with pytest.raises(ValueError):
         bound_report(power(cycle_graph(4), 4))
+
+
+def test_invariant_checks_survive_optimized_mode():
+    script = textwrap.dedent(
+        """
+        import sys
+        from oddtrans import InvariantError, analyze_spectra, fixtures, transversal
+        if __debug__:
+            sys.exit("not running under -O")
+        # A forged deletion bipartition: it meets every edge through vertex 0 oddly.
+        transversal.find_odd_transversal = lambda hg: (0,)
+        try:
+            analyze_spectra(fixtures()["c3_pow42"])
+        except InvariantError as exc:
+            print(exc)
+            sys.exit(0)
+        sys.exit("no InvariantError raised")
+        """
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "meets the flipped side oddly" in result.stdout
 
 
 # ------------------------------------------------------------ derivatives
