@@ -25,7 +25,7 @@ from .hypergraph import Hypergraph, HypergraphError
 
 def _round_floats(obj: Any) -> Any:
     if isinstance(obj, float):
-        return float(f"{obj:.12g}")
+        return float(f"{obj:.12g}") if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {k: _round_floats(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -34,7 +34,7 @@ def _round_floats(obj: Any) -> Any:
 
 
 def _emit_json(payload: dict[str, Any]) -> None:
-    print(json.dumps(_round_floats(payload), indent=2, sort_keys=True))
+    print(json.dumps(_round_floats(payload), indent=2, sort_keys=True, allow_nan=False))
 
 
 def _emit_text(payload: dict[str, Any]) -> None:
@@ -50,13 +50,9 @@ def _emit_text(payload: dict[str, Any]) -> None:
         print(f"{key}: {value}")
 
 
-def _load(path: str) -> tuple[Hypergraph, tuple[str, ...]]:
-    return hgio.parse_hypergraph(Path(path).read_text())
-
-
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        hg, labels = _load(args.path)
+        hg, labels = hgio.load(args.path)
     except (OSError, hgio.ParseError, HypergraphError) as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 2
@@ -120,7 +116,7 @@ def _generate_family(args: argparse.Namespace) -> tuple[Hypergraph, dict[str, An
         if args.cycle is not None:
             base = generators.cycle_graph(args.cycle)
         elif args.graph is not None:
-            base_hg, _ = _load(args.graph)
+            base_hg, _ = hgio.load(args.graph)
             if base_hg.is_uniform() != 2:
                 raise ValueError("base graph file must be 2-uniform")
             base = [tuple(e) for e in base_hg.edges]
@@ -129,7 +125,7 @@ def _generate_family(args: argparse.Namespace) -> tuple[Hypergraph, dict[str, An
         hg = generators.power(base, args.k)
         params = {"k": args.k, "cycle": args.cycle, "graph": args.graph}
     elif family == "blowup":
-        base_hg, _ = _load(args.input)
+        base_hg, _ = hgio.load(args.input)
         hg = generators.blowup(base_hg, args.t)
         params = {"input": args.input, "t": args.t}
     elif family == "pp":
@@ -181,7 +177,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_spectra(args: argparse.Namespace) -> int:
     try:
-        hg, _labels = _load(args.path)
+        hg, _labels = hgio.load(args.path)
         result = spectral.analyze_spectra(
             hg, tol=args.tol, max_iter=args.max_iter, restarts=args.restarts, seed=args.seed
         )
@@ -218,7 +214,7 @@ def cmd_spectra(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     try:
-        hg, _labels = _load(args.path)
+        hg, _labels = hgio.load(args.path)
     except (OSError, hgio.ParseError, HypergraphError) as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 2
@@ -259,8 +255,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         except ValueError:
             print(f"error: bad --m-list {args.m_list!r}", file=sys.stderr)
             return 2
-        for m in m_list:
-            hg = generators.power(generators.cycle_graph(m), args.k)
+        try:
+            members = [generators.power(generators.cycle_graph(m), args.k) for m in m_list]
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        for m, hg in zip(m_list, members):
             result = spectral.analyze_spectra(hg, restarts=args.restarts, seed=args.seed)
             rows.append(
                 {

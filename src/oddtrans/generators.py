@@ -13,7 +13,7 @@ import math
 import random
 from typing import Mapping, Sequence
 
-from .hypergraph import Hypergraph, build
+from .hypergraph import Hypergraph, InvariantError, build
 
 REJECTION_BUDGET = 10_000
 
@@ -93,7 +93,7 @@ def projective_plane(q: int) -> Hypergraph:
     space over the field with q elements; lines are the 2-dimensional
     subspaces.  The result is (q+1)-uniform and (q+1)-regular with
     ``q^2 + q + 1`` vertices and edges, and any two points lie on exactly
-    one line (asserted before returning).
+    one line (checked before returning; a failure raises ``InvariantError``).
     """
     if not _is_odd_prime(q):
         raise ValueError(f"order must be an odd prime; got {q}")
@@ -121,7 +121,8 @@ def projective_plane(q: int) -> Hypergraph:
             lines_on[v].add(i)
     for a in range(hg.n):
         for b in range(a + 1, hg.n):
-            assert len(lines_on[a] & lines_on[b]) == 1, (a, b)
+            if len(lines_on[a] & lines_on[b]) != 1:
+                raise InvariantError(f"points {a} and {b} do not lie on exactly one line")
     return hg
 
 

@@ -70,7 +70,3 @@ def format_hypergraph(hg: Hypergraph, labels: Sequence[str] | None = None) -> st
 
 def load(path: str | Path) -> tuple[Hypergraph, tuple[str, ...]]:
     return parse_hypergraph(Path(path).read_text())
-
-
-def save(path: str | Path, hg: Hypergraph, labels: Sequence[str] | None = None) -> None:
-    Path(path).write_text(format_hypergraph(hg, labels))

@@ -18,6 +18,7 @@ these quantities in one pass per hypergraph.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +33,6 @@ _PGD_MAX_STEPS = 400
 _ARMIJO_C = 1e-4
 
 
-def _uniformity(hg: Hypergraph) -> int:
-    k = hg.is_uniform()
-    if k is None:
-        raise ValueError("adjacency tensor requires a uniform hypergraph")
-    return k
-
-
 def _check_vector(hg: Hypergraph, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (hg.n,):
@@ -46,39 +40,52 @@ def _check_vector(hg: Hypergraph, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def apply(hg: Hypergraph, x: np.ndarray) -> np.ndarray:
-    """Evaluate ``A x^{k-1}`` coordinate-wise.
+@dataclass(frozen=True, eq=False)
+class _Tensor:
+    """The adjacency tensor of a k-uniform hypergraph, compiled once.
 
-    Per edge, the contribution to vertex v is the product of the other
-    k-1 coordinates; prefix/suffix products avoid dividing by x_v, which
-    may be zero.
+    ``edges`` is the (m, k) array of edge vertices.  The kernels multiply
+    and add in edge order, one factor at a time, exactly as a per-edge loop
+    would: ``cumprod``, ``bincount`` and ``add.accumulate`` are sequential,
+    whereas ``np.sum`` and ``np.prod`` along an axis may reorder.
     """
-    k = _uniformity(hg)
-    x = _check_vector(hg, x)
-    out = np.zeros(hg.n)
-    for e in hg.edges:
-        vals = [x[v] for v in e]
-        prefix = [1.0] * (k + 1)
-        for i in range(k):
-            prefix[i + 1] = prefix[i] * vals[i]
-        suffix = 1.0
-        for i in range(k - 1, -1, -1):
-            out[e[i]] += prefix[i] * suffix
-            suffix *= vals[i]
-    return out
+
+    n: int
+    k: int
+    edges: np.ndarray
+
+    @classmethod
+    def of(cls, hg: Hypergraph) -> _Tensor:
+        k = hg.is_uniform()
+        if k is None:
+            raise ValueError("adjacency tensor requires a uniform hypergraph")
+        return cls(hg.n, k, np.array(hg.edges, dtype=np.intp))
+
+    def products(self, x: np.ndarray) -> np.ndarray:
+        """``prod_{v in e} x_v`` for every edge e."""
+        return functools.reduce(np.multiply, x[self.edges].T)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``A x^{k-1}`` by prefix/suffix products, never dividing by x_v (it may be 0)."""
+        vals = x[self.edges]
+        ones = np.ones((len(vals), 1))
+        before = np.cumprod(np.hstack([ones, vals[:, :-1]]), axis=1)
+        after = np.cumprod(np.hstack([ones, vals[:, :0:-1]]), axis=1)[:, ::-1]
+        return np.bincount(self.edges.ravel(), (before * after).ravel(), self.n)
+
+    def rayleigh(self, x: np.ndarray) -> float:
+        """``A x^k``; the ``+ 0.0`` gives a loop's +0.0 when every product is -0.0."""
+        return float(self.k * (np.add.accumulate(self.products(x))[-1] + 0.0))
+
+
+def apply(hg: Hypergraph, x: np.ndarray) -> np.ndarray:
+    """Evaluate ``A x^{k-1}`` coordinate-wise."""
+    return _Tensor.of(hg).apply(_check_vector(hg, x))
 
 
 def rayleigh(hg: Hypergraph, x: np.ndarray) -> float:
     """Evaluate ``A x^k = sum_e k * prod_{v in e} x_v``."""
-    k = _uniformity(hg)
-    x = _check_vector(hg, x)
-    total = 0.0
-    for e in hg.edges:
-        prod = 1.0
-        for v in e:
-            prod *= x[v]
-        total += prod
-    return float(k * total)
+    return _Tensor.of(hg).rayleigh(_check_vector(hg, x))
 
 
 def _knorm(x: np.ndarray, k: int) -> float:
@@ -112,14 +119,15 @@ def spectral_radius(
     the bracket top, a certified upper estimate.  When ``max_iter`` is hit
     the best bracket is returned with ``converged=False``.
     """
-    k = _uniformity(hg)
+    op = _Tensor.of(hg)
+    k = op.k
     if not hg.is_connected():
         raise ValueError("the iteration requires a connected hypergraph")
     x = np.full(hg.n, hg.n ** (-1.0 / k))
     lo, hi = -np.inf, np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        ax = apply(hg, x)
+        ax = op.apply(x)
         xk1 = x ** (k - 1)
         y = ax + xk1
         ratios = y / xk1
@@ -130,7 +138,7 @@ def spectral_radius(
             return PerronResult(hi, x, residual, iterations, True, (lo, hi))
         x = y ** (1.0 / (k - 1))
         x /= _knorm(x, k)
-    ax = apply(hg, x)
+    ax = op.apply(x)
     residual = float(np.max(np.abs(ax - hi * x ** (k - 1))))
     return PerronResult(hi, x, residual, iterations, False, (lo, hi))
 
@@ -153,8 +161,7 @@ def _flip_across_deletion(hg: Hypergraph, edge_index: int, x: np.ndarray) -> np.
     part = transversal.find_odd_transversal(hg.delete_edge(edge_index))
     if part is None:
         raise InvariantError(f"deleting edge {edge_index} leaves no odd transversal")
-    inside = set(part)
-    if sum(v not in inside for v in hg.edges[edge_index]) % 2:
+    if len(set(hg.edges[edge_index]).difference(part)) % 2:
         raise InvariantError(f"edge {edge_index} meets the flipped side oddly")
     return _sign_flip(x, part)
 
@@ -173,25 +180,23 @@ def flip_vector(
     because the deleted edge meets the flipped side in an even number of
     vertices (checked).  Returns ``(y, A y^k)``.
     """
-    k = _uniformity(hg)
-    if k % 2:
+    op = _Tensor.of(hg)
+    if op.k % 2:
         raise ValueError("flip construction needs even uniformity")
     if not 0 <= edge_index < hg.m:
         raise ValueError(f"edge index {edge_index} out of range")
     if not transversal.classify(hg).is_minimal:
         raise ValueError("flip construction applies to minimal hypergraphs only")
     y = _flip_across_deletion(hg, edge_index, perron.vector)
-    return y, rayleigh(hg, y)
+    return y, op.rayleigh(y)
 
 
 def _project(x: np.ndarray, k: int) -> np.ndarray | None:
     nk = _knorm(x, k)
-    if nk < 1e-30:
-        return None
-    return x / nk
+    return None if nk < 1e-30 else x / nk
 
 
-def _descend(hg: Hypergraph, k: int, start: np.ndarray) -> tuple[float, np.ndarray]:
+def _descend(op: _Tensor, start: np.ndarray) -> tuple[float, np.ndarray]:
     """Projected gradient descent for ``A x^k`` on the unit k-norm sphere.
 
     The gradient of ``A x^k`` is ``k * A x^{k-1}``; steps are chosen by
@@ -199,21 +204,21 @@ def _descend(hg: Hypergraph, k: int, start: np.ndarray) -> tuple[float, np.ndarr
     the sphere by renormalization.  Monotone, so the result never exceeds
     the start value.
     """
-    x = _project(start, k)
+    x = _project(start, op.k)
     if x is None:
         raise ValueError("cannot start descent from the zero vector")
-    value = rayleigh(hg, x)
+    value = op.rayleigh(x)
     for _ in range(_PGD_MAX_STEPS):
-        grad = k * apply(hg, x)
+        grad = op.k * op.apply(x)
         gnorm2 = float(grad @ grad)
         if gnorm2 < 1e-28:
             break
         step = 1.0 / (1.0 + float(np.abs(grad).max()))
         improved = False
         while step > 1e-18:
-            cand = _project(x - step * grad, k)
+            cand = _project(x - step * grad, op.k)
             if cand is not None:
-                cand_value = rayleigh(hg, cand)
+                cand_value = op.rayleigh(cand)
                 if cand_value < value - _ARMIJO_C * step * gnorm2:
                     x, value = cand, cand_value
                     improved = True
@@ -240,7 +245,7 @@ def _flip_starts(
 
 
 def _least_value(
-    hg: Hypergraph, k: int, starts: list[np.ndarray], restarts: int, seed: int
+    op: _Tensor, starts: list[np.ndarray], restarts: int, seed: int
 ) -> tuple[float, np.ndarray]:
     """Descend from ``starts`` plus ``restarts`` seeded random starts; keep the least.
 
@@ -248,13 +253,13 @@ def _least_value(
     minimum does not depend on evaluation order.
     """
     starts = starts + [
-        np.random.default_rng((seed, i)).standard_normal(hg.n) for i in range(restarts)
+        np.random.default_rng((seed, i)).standard_normal(op.n) for i in range(restarts)
     ]
     if not starts:
-        starts.append(np.ones(hg.n))
+        starts.append(np.ones(op.n))
     best_value, best_x = np.inf, None
     for start in starts:
-        value, x = _descend(hg, k, start)
+        value, x = _descend(op, start)
         if value < best_value:
             best_value, best_x = value, x
     if best_x is None:
@@ -276,13 +281,13 @@ def lambda_min_upper(
     value is attained by a feasible point, hence a true upper bound; it
     also can never drop below ``-rho`` (up to bracket error).
     """
-    k = _uniformity(hg)
-    if k % 2:
+    op = _Tensor.of(hg)
+    if op.k % 2:
         raise ValueError("the least H-eigenvalue estimate needs even uniformity")
     if not hg.is_connected():
         raise ValueError("the estimate requires a connected hypergraph")
     starts = _flip_starts(hg, spectral_radius(hg).vector, transversal.classify(hg))
-    return _least_value(hg, k, starts, restarts, seed)
+    return _least_value(op, starts, restarts, seed)
 
 
 @dataclass(frozen=True)
@@ -335,27 +340,23 @@ def analyze_spectra(
     is known only to within it; a failed check raises ``InvariantError``.
     Non-uniform or disconnected input raises ``ValueError``.
     """
-    k = _uniformity(hg)
+    op = _Tensor.of(hg)
+    k = op.k
     perron = spectral_radius(hg, tol=tol, max_iter=max_iter)
     report = transversal.classify(hg)
     if k % 2 or not perron.converged:
         return SpectraReport(k, perron, report)
     x, rho = perron.vector, perron.rho
     starts = _flip_starts(hg, x, report)
-    lam, _ = _least_value(hg, k, starts, restarts, seed)
+    lam, _ = _least_value(op, starts, restarts, seed)
     alpha, beta = rho + lam, -lam / rho
     if not report.is_minimal:
         return SpectraReport(k, perron, report, lam, alpha, beta)
 
-    weights = []
-    for e in hg.edges:
-        prod = 1.0
-        for v in e:
-            prod *= x[v]
-        weights.append(prod)
-    values = [rayleigh(hg, y) for y in starts]
-    base = rayleigh(hg, x)
-    flip_error = max(abs(value - (-base + 2.0 * k * w)) for value, w in zip(values, weights))
+    weights = op.products(x)
+    values = [op.rayleigh(y) for y in starts]
+    base = op.rayleigh(x)
+    flip_error = np.abs(np.subtract(values, -base + 2.0 * k * weights)).max()
     bound1 = -rho + 2.0 * k / hg.n ** (1.0 / k)
     bound2 = -(1.0 - 2.0 / hg.m) * rho
     slack = DEFAULT_REPORT_TOL + (perron.bracket[1] - perron.bracket[0])
@@ -393,8 +394,7 @@ def bound_report(hg: Hypergraph, restarts: int = 8, seed: int = 0) -> BoundRepor
     of even uniformity raises ``ValueError``, and a power iteration that
     does not converge raises ``RuntimeError``.
     """
-    k = _uniformity(hg)
-    if k % 2:
+    if _Tensor.of(hg).k % 2:
         raise ValueError("bound report needs even uniformity")
     spectra = analyze_spectra(hg, restarts=restarts, seed=seed)
     if not spectra.classification.is_minimal:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import gf2
 from .gf2 import BitVector
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, InvariantError
 
 BRUTE_FORCE_MAX_VERTICES = 24
 DEFINITIONAL_CHECK_MAX_EDGES = 64
@@ -117,7 +117,11 @@ def classify(hg: Hypergraph, definitional: bool | None = None) -> Classification
         )
         # For connected inputs the two verdicts provably coincide; a
         # mismatch would mean a defect in the solver or rank computation.
-        assert definitional_minimal == is_minimal or not connected
+        if connected and definitional_minimal != is_minimal:
+            raise InvariantError(
+                f"rank criterion says minimal={is_minimal}, "
+                f"single-edge deletions say minimal={definitional_minimal}"
+            )
         method = "both-agree" if definitional_minimal == is_minimal else "definitional"
 
     return ClassificationReport(
@@ -205,8 +209,10 @@ def edge_injection(hg: Hypergraph) -> EdgeInjection | None:
     matching = _hopcroft_karp([list(e) for e in hg.edges], hg.n)
     if len(matching) != hg.m:
         return None
-    assert len(set(matching.values())) == hg.m
-    assert all(v in hg.edges[e] for e, v in matching.items())
+    if len(set(matching.values())) != hg.m:
+        raise InvariantError("the edge matching maps two edges to one vertex")
+    if not all(v in hg.edges[e] for e, v in matching.items()):
+        raise InvariantError("the edge matching maps an edge outside itself")
     return EdgeInjection(matching)
 
 

@@ -2,8 +2,9 @@
 
 Everything here is written naively on purpose: entry-by-entry elimination
 over 0/1 lists, exhaustive enumeration over all vectors or vertex subsets,
-explicit two-colorings, and the full tensor contraction summed over every
-index ordering.  None of it shares code with the package.
+explicit two-colorings, the full tensor contraction summed over every
+index ordering, and per-edge product loops in plain floats.  None of it
+shares code with the package.
 """
 
 from __future__ import annotations
@@ -125,3 +126,33 @@ def tensor_power_iteration_naive(
         norm = sum(xv**k for xv in x) ** (1.0 / k)
         x = [xv / norm for xv in x]
     return hi
+
+
+def edgewise_apply(edges: list[tuple[int, ...]], n: int, x: list[float]) -> list[float]:
+    """(A x^{k-1})_v edge by edge, with prefix/suffix products and no division.
+
+    The multiplications and additions happen in edge order, one factor at a
+    time, so a correct vectorized kernel matches this bit for bit.
+    """
+    out = [0.0] * n
+    for e in edges:
+        vals = [x[v] for v in e]
+        prefix = [1.0] * (len(e) + 1)
+        for i, val in enumerate(vals):
+            prefix[i + 1] = prefix[i] * val
+        suffix = 1.0
+        for i in range(len(e) - 1, -1, -1):
+            out[e[i]] += prefix[i] * suffix
+            suffix *= vals[i]
+    return out
+
+
+def edgewise_rayleigh(edges: list[tuple[int, ...]], k: int, x: list[float]) -> float:
+    """A x^k = k * sum over edges of the product of their coordinates, in edge order."""
+    total = 0.0
+    for e in edges:
+        prod = 1.0
+        for v in e:
+            prod *= x[v]
+        total += prod
+    return k * total

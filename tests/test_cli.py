@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from oddtrans import classify, fixtures, parse_hypergraph, spectral, transversal
+from oddtrans import Hypergraph, classify, fixtures, parse_hypergraph, spectral, transversal
 from oddtrans.cli import main
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
@@ -233,8 +233,10 @@ def test_spectra_solves_and_classifies_once(capsys, monkeypatch):
 
     count(spectral, "spectral_radius")
     count(transversal, "classify")
+    count(Hypergraph, "is_uniform")
     code, _, _ = run(capsys, "spectra", FIXTURE_DIR / "c3_pow42.hg", "--json")
     assert code == 0
+    assert calls.pop("is_uniform") <= 2  # once per compiled tensor, not per evaluation
     assert calls == {"spectral_radius": 1, "classify": 1}
 
 
@@ -274,6 +276,14 @@ def test_sweep_beta_trend_increases(capsys):
     assert betas == sorted(betas)
 
 
+@pytest.mark.parametrize("argv", [("--m-list", "2"), ("--k", "3")])
+def test_sweep_beta_trend_bad_member_exits_2(capsys, argv):
+    code, out, err = run(capsys, "sweep", "beta-trend", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_sweep_unknown_name_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["sweep", "nonsense"])
@@ -290,6 +300,20 @@ def test_json_keys_are_stable_and_floats_rounded(capsys):
     payload = json.loads(out1)
     rho = payload["rho"]
     assert rho == float(f"{rho:.12g}")
+
+
+def test_json_is_strict_when_the_iteration_does_not_run(capsys):
+    code, out, _ = run(
+        capsys, "spectra", FIXTURE_DIR / "nonregular_9v.hg", "--json", "--max-iter", "0"
+    )
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["rho"] is None
+    assert payload["converged"] is False
 
 
 def test_shipped_fixture_files_match_catalogue(capsys):

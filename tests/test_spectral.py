@@ -8,8 +8,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import tensor_apply_naive, tensor_power_iteration_naive
+from oracles import (
+    edgewise_apply,
+    edgewise_rayleigh,
+    tensor_apply_naive,
+    tensor_power_iteration_naive,
+)
 from support import minimal_uniform_fixtures, random_uniform_instance
 
 from oddtrans import (
@@ -76,6 +83,26 @@ def test_rayleigh_of_unit_constant_vector_is_degree():
 
 def test_rayleigh_of_zero_vector_is_zero():
     assert rayleigh(C3, np.zeros(6)) == 0.0
+
+
+_COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_kernels_equal_edgewise_loops_bit_for_bit(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    hg = random_uniform_instance(rng, max_n=10, max_m=8, uniformities=(2, 3, 4, 5, 6))
+    x = data.draw(st.lists(_COORDINATES, min_size=hg.n, max_size=hg.n))
+    got, want = apply(hg, np.array(x)), np.array(edgewise_apply(list(hg.edges), hg.n, x))
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    got, want = rayleigh(hg, np.array(x)), edgewise_rayleigh(list(hg.edges), hg.is_uniform(), x)
+    assert got == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 def test_rayleigh_is_inner_product_with_apply():
@@ -246,17 +273,28 @@ def test_invariant_checks_survive_optimized_mode():
     script = textwrap.dedent(
         """
         import sys
-        from oddtrans import InvariantError, analyze_spectra, fixtures, transversal
+        from oddtrans import InvariantError, analyze_spectra, classify, fixtures, gf2, transversal
         if __debug__:
             sys.exit("not running under -O")
+
+        def expect_invariant_error(call):
+            try:
+                call()
+            except InvariantError as exc:
+                print(exc)
+            else:
+                sys.exit("no InvariantError raised")
+
+        hg = fixtures()["c3_pow42"]
+        find = transversal.find_odd_transversal
         # A forged deletion bipartition: it meets every edge through vertex 0 oddly.
         transversal.find_odd_transversal = lambda hg: (0,)
-        try:
-            analyze_spectra(fixtures()["c3_pow42"])
-        except InvariantError as exc:
-            print(exc)
-            sys.exit(0)
-        sys.exit("no InvariantError raised")
+        expect_invariant_error(lambda: analyze_spectra(hg))
+        transversal.find_odd_transversal = find
+        # A rank one short: the rank criterion then contradicts the deletions.
+        rank = gf2.rank
+        gf2.rank = lambda matrix: rank(matrix) - 1
+        expect_invariant_error(lambda: classify(hg))
         """
     )
     src = Path(__file__).resolve().parents[1] / "src"
@@ -269,6 +307,7 @@ def test_invariant_checks_survive_optimized_mode():
     )
     assert result.returncode == 0, result.stderr
     assert "meets the flipped side oddly" in result.stdout
+    assert "single-edge deletions say minimal=True" in result.stdout
 
 
 # ------------------------------------------------------------ derivatives
