@@ -12,6 +12,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
+class InvariantError(RuntimeError):
+    """Raised when a computed result breaks a property that provably holds.
+
+    It signals a defect in the package, never bad input, and unlike an
+    ``assert`` it is not stripped by ``python -O``.
+    """
+
+
 @dataclass(frozen=True)
 class BitVector:
     """A GF(2) vector of length ``size`` packed into a single integer.
@@ -108,32 +116,68 @@ class BitMatrix:
         return [[(row >> j) & 1 for j in range(self.cols)] for row in self.data]
 
 
-def _rref(rows: Iterable[int]) -> dict[int, int]:
-    """Reduced row echelon form of packed rows, as ``{pivot bit: row}``.
+class Factorization:
+    """One elimination of a GF(2) matrix, serving rank, solves and dependencies.
 
-    Pivoting is on the first (lowest) set bit of each reduced row.  The
-    returned rows satisfy the invariant that every pivot bit occurs in
-    exactly one of them, so a particular solution can be read off directly
-    with all free variables at zero.
+    Each row is reduced only against the pivots it hits (structured sparse
+    elimination, LaMacchia-Odlyzko 1990), keyed by lowest set bit, so a kept
+    row's bits lie at or above its pivot.  Each kept row carries its combo,
+    the set of input rows it sums; a row reducing to zero leaves its combo in
+    ``dependencies``, a basis of the left nullspace (its own row is the
+    combo's highest bit).  Nothing is changed after construction.
     """
-    pivots: dict[int, int] = {}
-    for row in rows:
-        cur = row
-        for bit, pivot_row in pivots.items():
-            if cur & bit:
-                cur ^= pivot_row
-        if cur:
-            low = cur & -cur
-            for bit in pivots:
-                if pivots[bit] & low:
-                    pivots[bit] ^= cur
-            pivots[low] = cur
-    return pivots
+
+    def __init__(self, matrix: BitMatrix) -> None:
+        self.matrix = matrix
+        pivots: dict[int, tuple[int, int]] = {}
+        dependencies: list[BitVector] = []
+        for i, row in enumerate(matrix.data):
+            combo = 1 << i
+            while row:
+                low = row & -row
+                hit = pivots.get(low)
+                if hit is None:
+                    pivots[low] = (row, combo)
+                    break
+                row ^= hit[0]
+                combo ^= hit[1]
+            else:
+                dependencies.append(BitVector(matrix.rows, combo))
+        self.pivots = dict(sorted(pivots.items(), reverse=True))
+        self.dependencies = tuple(dependencies)
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def solve(self, b: BitVector) -> BitVector | None:
+        """One solution of ``matrix @ x = b``, or None when inconsistent.
+
+        None when some dependency meets ``b`` oddly; otherwise every free
+        variable is zero and the pivots are back-substituted from the
+        highest.  Both answers are checked (``InvariantError`` on failure).
+        """
+        m = self.matrix
+        if b.size != m.rows:
+            raise ValueError(f"right-hand side length {b.size} != row count {m.rows}")
+        for dep in self.dependencies:
+            if (dep.bits & b.bits).bit_count() & 1:
+                if matvec(transpose(m), dep).bits:
+                    raise InvariantError("a recorded dependency does not sum to zero")
+                return None
+        bits = 0
+        for low, (row, combo) in self.pivots.items():
+            if ((row & bits).bit_count() ^ (combo & b.bits).bit_count()) & 1:
+                bits |= low
+        x = BitVector(m.cols, bits)
+        if matvec(m, x) != b:
+            raise InvariantError("the solver produced a non-solution")
+        return x
 
 
 def rank(m: BitMatrix) -> int:
-    """GF(2) row rank, computed by elimination on a working copy."""
-    return len(_rref(m.data))
+    """GF(2) row rank."""
+    return Factorization(m).rank
 
 
 def matvec(m: BitMatrix, x: BitVector) -> BitVector:
@@ -147,28 +191,8 @@ def matvec(m: BitMatrix, x: BitVector) -> BitVector:
 
 
 def solve(m: BitMatrix, b: BitVector) -> BitVector | None:
-    """One solution of ``m @ x = b`` over GF(2), or None when inconsistent.
-
-    Free variables are set to zero, which makes the returned solution
-    deterministic.  The solution is re-checked by multiplication before it
-    is returned.
-    """
-    if b.size != m.rows:
-        raise ValueError(f"right-hand side length {b.size} != row count {m.rows}")
-    aug_bit = 1 << m.cols
-    pivots = _rref(
-        row | (aug_bit if (b.bits >> i) & 1 else 0) for i, row in enumerate(m.data)
-    )
-    if aug_bit in pivots:
-        return None
-    bits = 0
-    for low, row in pivots.items():
-        if row & aug_bit:
-            bits |= low
-    x = BitVector(m.cols, bits)
-    if matvec(m, x) != b:  # pragma: no cover - elimination guarantees this
-        raise AssertionError("solver produced a non-solution")
-    return x
+    """One solution of ``m @ x = b``, free variables zero, or None; see :class:`Factorization`."""
+    return Factorization(m).solve(b)
 
 
 def solution_count(m: BitMatrix, b: BitVector) -> int:
@@ -177,11 +201,8 @@ def solution_count(m: BitMatrix, b: BitVector) -> int:
     This is ``2 ** (cols - rank)`` when the system is consistent and zero
     otherwise; the result is an exact arbitrary-precision integer.
     """
-    if b.size != m.rows:
-        raise ValueError(f"right-hand side length {b.size} != row count {m.rows}")
-    if solve(m, b) is None:
-        return 0
-    return 1 << (m.cols - rank(m))
+    f = Factorization(m)
+    return 0 if f.solve(b) is None else 1 << (m.cols - f.rank)
 
 
 def nullspace_dim(m: BitMatrix) -> int:
@@ -190,27 +211,8 @@ def nullspace_dim(m: BitMatrix) -> int:
 
 
 def nullspace_basis(m: BitMatrix) -> list[BitVector]:
-    """A basis of the right nullspace of ``m`` over GF(2).
-
-    One basis vector per free column: the free variable is set, and each
-    pivot variable carries the matching coefficient of its reduced row.
-    """
-    pivots = _rref(m.data)
-    pivot_bits = set(pivots)
-    basis: list[BitVector] = []
-    for j in range(m.cols):
-        free = 1 << j
-        if free in pivot_bits:
-            continue
-        bits = free
-        for low, row in pivots.items():
-            if row & free:
-                bits |= low
-        vec = BitVector(m.cols, bits)
-        if matvec(m, vec).bits:  # pragma: no cover - elimination guarantees this
-            raise AssertionError("nullspace vector fails m @ v = 0")
-        basis.append(vec)
-    return basis
+    """A basis of the right nullspace of ``m``: the dependencies of its transpose."""
+    return list(Factorization(transpose(m)).dependencies)
 
 
 def transpose(m: BitMatrix) -> BitMatrix:

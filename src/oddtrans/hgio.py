@@ -1,4 +1,4 @@
-"""Plain-text hypergraph files.
+"""Plain-text (UTF-8) hypergraph files.
 
 One edge per line as whitespace-separated vertex labels; ``#`` starts a
 comment; blank lines are ignored.  Labels are arbitrary strings and are
@@ -69,4 +69,8 @@ def format_hypergraph(hg: Hypergraph, labels: Sequence[str] | None = None) -> st
 
 
 def load(path: str | Path) -> tuple[Hypergraph, tuple[str, ...]]:
-    return parse_hypergraph(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return parse_hypergraph(text)

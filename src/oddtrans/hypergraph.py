@@ -16,19 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, InvariantError  # noqa: F401 - re-exported
 
 
 class HypergraphError(ValueError):
     """Raised when edge data violates the hypergraph invariants."""
-
-
-class InvariantError(RuntimeError):
-    """Raised when a computed result breaks a property that provably holds.
-
-    It signals a defect in the package, never bad input, and unlike an
-    ``assert`` it is not stripped by ``python -O``.
-    """
 
 
 def _component_count(members: Iterable[int], groups: Iterable[Iterable[int]]) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import transversal
+from . import gf2, transversal
 from .hypergraph import Hypergraph, InvariantError
 
 DEFAULT_BRACKET_TOL = 1e-10
@@ -150,22 +150,6 @@ def _sign_flip(x: np.ndarray, part: tuple[int, ...]) -> np.ndarray:
     return y
 
 
-def _flip_across_deletion(hg: Hypergraph, edge_index: int, x: np.ndarray) -> np.ndarray:
-    """Sign-flip ``x`` across an odd bipartition of the deletion ``G - e``.
-
-    For a minimal hypergraph of even uniformity the deleted edge meets the
-    flipped side in an even number of vertices: the part meets each of the
-    other m - 1 edges (an even number of them) oddly and has an even degree
-    sum, so it meets the deleted edge evenly, and so does the complement.
-    """
-    part = transversal.find_odd_transversal(hg.delete_edge(edge_index))
-    if part is None:
-        raise InvariantError(f"deleting edge {edge_index} leaves no odd transversal")
-    if len(set(hg.edges[edge_index]).difference(part)) % 2:
-        raise InvariantError(f"edge {edge_index} meets the flipped side oddly")
-    return _sign_flip(x, part)
-
-
 def flip_vector(
     hg: Hypergraph, edge_index: int, perron: PerronResult
 ) -> tuple[np.ndarray, float]:
@@ -185,9 +169,10 @@ def flip_vector(
         raise ValueError("flip construction needs even uniformity")
     if not 0 <= edge_index < hg.m:
         raise ValueError(f"edge index {edge_index} out of range")
-    if not transversal.classify(hg).is_minimal:
+    report = transversal.classify(hg)
+    if not report.is_minimal:
         raise ValueError("flip construction applies to minimal hypergraphs only")
-    y = _flip_across_deletion(hg, edge_index, perron.vector)
+    y = _flip_starts(hg, perron.vector, report)[edge_index]
     return y, op.rayleigh(y)
 
 
@@ -234,14 +219,23 @@ def _flip_starts(
 ) -> list[np.ndarray]:
     """Sign flips of ``x`` across odd bipartitions, the descent starts.
 
-    One per single-edge deletion, in edge order, when the hypergraph is
-    minimal; one across its own odd transversal when it has one.
+    One across its own odd transversal when the hypergraph has one; one
+    per single-edge deletion, in edge order, when it is minimal.  Then, at
+    even uniformity, each deleted edge meets both sides of its flip evenly
+    (checked): the part meets the other m - 1 edges (an even number) oddly
+    and has an even degree sum.
     """
-    if report.is_minimal:
-        return [_flip_across_deletion(hg, i, x) for i in range(hg.m)]
     if report.witness is not None:
         return [_sign_flip(x, report.witness)]
-    return []
+    if not report.is_minimal:
+        return []
+    parts = transversal.deletion_transversals(gf2.Factorization(hg.incidence()))
+    for i, part in enumerate(parts):
+        if part is None:
+            raise InvariantError(f"deleting edge {i} leaves no odd transversal")
+        if len(set(hg.edges[i]).difference(part)) % 2:
+            raise InvariantError(f"edge {i} meets the flipped side oddly")
+    return [_sign_flip(x, part) for part in parts]
 
 
 def _least_value(

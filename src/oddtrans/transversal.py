@@ -62,9 +62,32 @@ def find_odd_transversal(hg: Hypergraph) -> tuple[int, ...] | None:
     x = gf2.solve(hg.incidence(), BitVector.ones(hg.m))
     if x is None:
         return None
-    if not _meets_all_edges_oddly(hg.edge_masks(), x.bits):  # pragma: no cover
-        raise AssertionError("solver witness fails the odd-intersection check")
+    if not _meets_all_edges_oddly(hg.edge_masks(), x.bits):
+        raise InvariantError("solver witness fails the odd-intersection check")
     return x.support()
+
+
+def deletion_transversals(f: gf2.Factorization) -> list[tuple[int, ...] | None]:
+    """The odd transversal of every single-edge deletion, from one factorization.
+
+    ``f`` factors the incidence matrix B of a hypergraph G that has no odd
+    transversal (checked; ``ValueError`` otherwise).  Entry i solves
+    ``B x = 1 + e_i`` and is exactly ``find_odd_transversal(G - e_i)``:
+
+    1. Since ``B x = 1`` has no solution, every odd transversal of G - e_i
+       meets e_i evenly (meeting it oddly would solve ``B x = 1``), so the
+       odd transversals of G - e_i are the solutions of ``B x = 1 + e_i``.
+    2. So both systems have the same solution set (both answers are None if
+       it is empty); its differences are both nullspaces, so the row spaces
+       are equal too.
+    3. The set of lowest-bit pivots depends on the row space only, and so
+       does the solution with every free variable zero.
+    """
+    ones = BitVector.ones(f.matrix.rows)
+    if f.solve(ones) is not None:
+        raise ValueError("deletion witnesses need a hypergraph with no odd transversal")
+    solutions = (f.solve(BitVector(ones.size, ones.bits ^ (1 << i))) for i in range(ones.size))
+    return [x.support() if x is not None else None for x in solutions]
 
 
 def brute_force_odd_transversal(hg: Hypergraph) -> tuple[int, ...] | None:
@@ -94,12 +117,12 @@ def classify(hg: Hypergraph, definitional: bool | None = None) -> Classification
     Never raises on disconnected input: disconnection alone already rules
     out minimality and the report simply records it.  When ``definitional``
     is true (default: auto, for ``m <= 64``) the single-edge-deletion
-    definition is evaluated as well -- one GF(2) solve per edge -- and the
-    agreement is recorded in ``minimality_method``.
+    definition is evaluated as well -- one GF(2) solve per edge on the same
+    factorization -- and the agreement is recorded in ``minimality_method``.
     """
-    inc = hg.incidence()
-    rank = gf2.rank(inc)
-    x = gf2.solve(inc, BitVector.ones(hg.m))
+    f = gf2.Factorization(hg.incidence())
+    rank = f.rank
+    x = f.solve(BitVector.ones(hg.m))
     witness = x.support() if x is not None else None
     count = (1 << (hg.n - rank)) if x is not None else 0
     m_odd = hg.m % 2 == 1
@@ -112,9 +135,7 @@ def classify(hg: Hypergraph, definitional: bool | None = None) -> Classification
     definitional_minimal: bool | None = None
     method = "rank-criterion"
     if definitional:
-        definitional_minimal = x is None and all(
-            find_odd_transversal(hg.delete_edge(i)) is not None for i in range(hg.m)
-        )
+        definitional_minimal = x is None and None not in deletion_transversals(f)
         # For connected inputs the two verdicts provably coincide; a
         # mismatch would mean a defect in the solver or rank computation.
         if connected and definitional_minimal != is_minimal:
@@ -142,17 +163,14 @@ def minimal_subset_certificate(hg: Hypergraph) -> tuple[int, ...] | None:
     """A non-empty proper edge set whose indicator rows sum to zero, if any.
 
     Such a set certifies that the hypergraph is not minimal (a proper
-    dependent edge subset exists).  Row dependencies are the nullspace of
-    the transposed incidence matrix, so no enumeration is needed: any basis
+    dependent edge subset exists).  The incidence factorization records a
+    basis of the row dependencies, so no enumeration is needed: any basis
     vector with support different from the full edge set qualifies, and
     when the only dependency is the all-edges one, no certificate exists.
     """
-    basis = gf2.nullspace_basis(gf2.transpose(hg.incidence()))
     full = (1 << hg.m) - 1
-    for vec in basis:
-        if vec.bits != full:
-            return vec.support()
-    return None
+    basis = gf2.Factorization(hg.incidence()).dependencies
+    return next((vec.support() for vec in basis if vec.bits != full), None)
 
 
 def _hopcroft_karp(adjacency: list[list[int]], n_right: int) -> dict[int, int]:

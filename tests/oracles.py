@@ -1,10 +1,11 @@
 """Independent oracles the implementation is checked against.
 
 Everything here is written naively on purpose: entry-by-entry elimination
-over 0/1 lists, exhaustive enumeration over all vectors or vertex subsets,
-explicit two-colorings, the full tensor contraction summed over every
-index ordering, and per-edge product loops in plain floats.  None of it
-shares code with the package.
+over 0/1 lists (rank, and solves with every free variable zero),
+exhaustive enumeration over all vectors or vertex subsets, explicit
+two-colorings, the full tensor contraction summed over every index
+ordering, and per-edge product loops in plain floats.  None of it shares
+code with the package.
 """
 
 from __future__ import annotations
@@ -36,6 +37,32 @@ def naive_rank(bits: list[list[int]]) -> int:
         rank += 1
         pivot_row += 1
     return rank
+
+
+def naive_solve(bits: list[list[int]], rhs: list[int], n_cols: int) -> list[int] | None:
+    """The solution of a GF(2) system with every free variable zero, or None.
+
+    Textbook Gauss-Jordan elimination on the augmented 0/1 rows, column by
+    column from column 0; a column without a pivot is free and set to 0.
+    """
+    work = [row[:] + [b] for row, b in zip(bits, rhs)]
+    pivot_cols: list[int] = []
+    for col in range(n_cols):
+        r = len(pivot_cols)
+        found = next((i for i in range(r, len(work)) if work[i][col] == 1), None)
+        if found is None:
+            continue
+        work[r], work[found] = work[found], work[r]
+        for i in range(len(work)):
+            if i != r and work[i][col] == 1:
+                work[i] = [a ^ b for a, b in zip(work[i], work[r])]
+        pivot_cols.append(col)
+    if any(row[-1] == 1 for row in work[len(pivot_cols):]):
+        return None
+    x = [0] * n_cols
+    for r, col in enumerate(pivot_cols):
+        x[col] = work[r][-1]
+    return x
 
 
 def brute_solution_count(bits: list[list[int]], rhs: list[int]) -> int:

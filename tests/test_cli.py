@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from oddtrans import Hypergraph, classify, fixtures, parse_hypergraph, spectral, transversal
+from oddtrans import Hypergraph, classify, fixtures, gf2, parse_hypergraph, spectral, transversal
 from oddtrans.cli import main
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
@@ -62,6 +62,39 @@ def test_analyze_reports_parse_error_with_line(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", bad)
     assert code == 2
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "check"])
+def test_non_utf8_file_is_an_input_error(capsys, tmp_path, command):
+    bad = tmp_path / "latin1.hg"
+    bad.write_bytes(b"\xff\xfe 1 2\n")
+    code, out, err = run(capsys, command, bad)
+    assert code == 2
+    assert out == ""
+    assert "not UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "argv, most",
+    [
+        (("analyze", "--json"), 1),
+        (("analyze", "--json", "--definitional-check"), 1),
+        (("check",), 1),
+        (("spectra", "--json"), 2),
+    ],
+)
+def test_one_factorization_per_hypergraph(capsys, monkeypatch, argv, most):
+    factorizations = []
+    init = gf2.Factorization.__init__
+
+    def counted(self, matrix):
+        factorizations.append(matrix)
+        init(self, matrix)
+
+    monkeypatch.setattr(gf2.Factorization, "__init__", counted)
+    code, _, _ = run(capsys, argv[0], FIXTURE_DIR / "c3_pow42.hg", *argv[1:])
+    assert code == 0
+    assert 1 <= len(factorizations) <= most
 
 
 def test_analyze_intersection_flag(capsys):

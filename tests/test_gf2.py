@@ -4,20 +4,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_solution_count, naive_rank
+from oracles import brute_solution_count, naive_rank, naive_solve
 
 from oddtrans import (
     BitMatrix,
     BitVector,
+    InvariantError,
     build,
     cayley,
     fixtures,
+    gf2,
+    hypergraph,
     nullspace_dim,
     rank,
     solution_count,
     solve,
 )
-from oddtrans.gf2 import matvec, nullspace_basis, transpose
+from oddtrans.gf2 import Factorization, matvec, nullspace_basis, transpose
 
 C3 = fixtures()["c3_pow42"]
 
@@ -121,6 +124,49 @@ def test_solve_of_constructed_system_verifies(data):
     x = solve(m, b)
     assert x is not None  # consistent by construction
     assert matvec(m, x) == b
+
+
+# -------------------------------------------------------- factorization
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_factorization_matches_the_naive_eliminators(data):
+    rows = data.draw(st.integers(0, 12))
+    cols = data.draw(st.integers(0, 12))
+    bits = [[data.draw(st.integers(0, 1)) for _ in range(cols)] for _ in range(rows)]
+    rhs = [data.draw(st.integers(0, 1)) for _ in range(rows)]
+    m = BitMatrix.from_bits(bits, cols)
+    f = Factorization(m)
+    assert f.rank == naive_rank(bits)
+    assert len(f.dependencies) == rows - f.rank
+    for dep in f.dependencies:
+        assert matvec(transpose(m), dep).bits == 0
+    x = f.solve(BitVector.from_support([i for i, v in enumerate(rhs) if v], rows))
+    count = brute_solution_count(bits, rhs) if rows else 1 << cols
+    assert (x is None) == (count == 0)
+    if x is not None:
+        assert count == 1 << (cols - f.rank)
+        assert [x.get(j) for j in range(cols)] == naive_solve(bits, rhs, cols)
+
+
+def test_invariant_error_is_one_class_defined_in_the_lowest_layer():
+    assert hypergraph.InvariantError is InvariantError is gf2.InvariantError
+
+
+def test_factorization_checks_both_answers():
+    m = C3.incidence()
+    f = Factorization(m)
+    ones = BitVector.ones(m.rows)
+    f.dependencies = (BitVector(m.rows, 0b001),)  # row 0 alone is not zero
+    with pytest.raises(InvariantError, match="dependency"):
+        f.solve(ones)
+    f = Factorization(m)
+    low, (row, combo) = next(iter(f.pivots.items()))
+    f.pivots[low] = (row, combo ^ 0b1)
+    f.dependencies = ()
+    with pytest.raises(InvariantError, match="non-solution"):
+        f.solve(ones)
 
 
 # ------------------------------------------------------- solution_count

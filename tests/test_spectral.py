@@ -286,15 +286,21 @@ def test_invariant_checks_survive_optimized_mode():
                 sys.exit("no InvariantError raised")
 
         hg = fixtures()["c3_pow42"]
-        find = transversal.find_odd_transversal
-        # A forged deletion bipartition: it meets every edge through vertex 0 oddly.
-        transversal.find_odd_transversal = lambda hg: (0,)
+        deletions = transversal.deletion_transversals
+        # Forged deletion bipartitions: they meet every edge through vertex 0 oddly.
+        transversal.deletion_transversals = lambda f: [(0,)] * f.matrix.rows
         expect_invariant_error(lambda: analyze_spectra(hg))
-        transversal.find_odd_transversal = find
+        transversal.deletion_transversals = deletions
         # A rank one short: the rank criterion then contradicts the deletions.
-        rank = gf2.rank
-        gf2.rank = lambda matrix: rank(matrix) - 1
+        rank = gf2.Factorization.rank
+        gf2.Factorization.rank = property(lambda f: rank.fget(f) - 1)
         expect_invariant_error(lambda: classify(hg))
+        gf2.Factorization.rank = rank
+        # A corrupted factorization: its highest pivot row claims the wrong combo.
+        f = gf2.Factorization(hg.incidence())
+        low, (row, combo) = next(iter(f.pivots.items()))
+        f.pivots[low] = (row, combo ^ 1)
+        expect_invariant_error(lambda: f.solve(gf2.BitVector(hg.m, 0b011)))
         """
     )
     src = Path(__file__).resolve().parents[1] / "src"
@@ -308,6 +314,7 @@ def test_invariant_checks_survive_optimized_mode():
     assert result.returncode == 0, result.stderr
     assert "meets the flipped side oddly" in result.stdout
     assert "single-edge deletions say minimal=True" in result.stdout
+    assert "the solver produced a non-solution" in result.stdout
 
 
 # ------------------------------------------------------------ derivatives

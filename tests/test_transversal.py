@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_odd_transversals
+from oracles import brute_odd_transversals, naive_solve
 from support import even_edged_minimal_fixtures, random_connected_hypergraph
 
 from oddtrans import (
@@ -23,7 +23,8 @@ from oddtrans import (
     power,
     rank,
 )
-from oddtrans.gf2 import BitMatrix
+from oddtrans.gf2 import BitMatrix, Factorization
+from oddtrans.transversal import deletion_transversals
 
 FIX = fixtures()
 
@@ -74,6 +75,70 @@ def test_solver_and_brute_force_agree_on_random_hypergraphs():
         assert count_odd_transversals(hg) == len(hits)
         if witness is not None:
             assert meets_all_oddly(hg, witness)
+
+
+# ------------------------------------------------------ single deletions
+
+
+def oracle_deletion_witness(hg, i):
+    """The free-variables-zero odd transversal of ``hg - e_i``, by the naive solver."""
+    bits = hg.incidence().to_bits()
+    x = naive_solve(bits[:i] + bits[i + 1 :], [1] * (hg.m - 1), hg.n)
+    return None if x is None else tuple(v for v in range(hg.n) if x[v])
+
+
+def random_non_odd_transversal(rng: random.Random):
+    """A random hypergraph on at most 12 vertices with no odd transversal.
+
+    One edge is the symmetric difference of an even number of others, an
+    odd dependency that rules out ``B x = 1``.
+    """
+    while True:
+        n = rng.randint(2, 12)
+        draws = rng.randint(2, 8)
+        edges = sorted({tuple(sorted(rng.sample(range(n), rng.randint(1, n)))) for _ in range(draws)})
+        chosen = rng.sample(edges, 2 * rng.randint(1, len(edges) // 2)) if len(edges) >= 2 else []
+        closing = set()
+        for e in chosen:
+            closing ^= set(e)
+        if not closing or tuple(sorted(closing)) in edges:
+            continue
+        edges.insert(rng.randint(0, len(edges)), tuple(sorted(closing)))
+        return build(n, edges, allow_isolated=True)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_deletion_transversals_match_brute_force(seed):
+    hg = random_non_odd_transversal(random.Random(seed))
+    assert not brute_odd_transversals(list(hg.edges), hg.n)
+    witnesses = deletion_transversals(Factorization(hg.incidence()))
+    assert len(witnesses) == hg.m
+    for i, witness in enumerate(witnesses):
+        rest = list(hg.edges[:i] + hg.edges[i + 1 :])
+        hits = brute_odd_transversals(rest, hg.n)
+        assert (witness is not None) == bool(hits)
+        if witness is not None:
+            assert sum(1 << v for v in witness) in hits
+        assert witness == oracle_deletion_witness(hg, i)
+
+
+def test_deletion_transversals_equal_the_witnesses_of_the_deletions():
+    catalogue = [*FIX.values(), *(cayley(n, k) for k in (4, 6) for n in range(k + 1, 40, 2))]
+    checked = 0
+    for hg in catalogue:
+        if find_odd_transversal(hg) is not None:
+            continue
+        expected = [find_odd_transversal(hg.delete_edge(i)) for i in range(hg.m)]
+        assert deletion_transversals(Factorization(hg.incidence())) == expected
+        assert expected == [oracle_deletion_witness(hg, i) for i in range(hg.m)]
+        checked += 1
+    assert checked >= 20
+
+
+def test_deletion_transversals_require_no_odd_transversal():
+    with pytest.raises(ValueError, match="no odd transversal"):
+        deletion_transversals(Factorization(build(4, [(0, 1, 2, 3)]).incidence()))
 
 
 # --------------------------------------------------------------- counting
@@ -187,6 +252,22 @@ def test_certificate_found_in_disjoint_union_of_two_powers():
     assert acc == 0
     # the only proper dependent subsets here are the two components
     assert cert in (tuple(range(c3.m)), tuple(range(c3.m, union.m)))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_certificate_is_a_proper_nonempty_zero_sum_edge_set(seed):
+    rng = random.Random(seed)
+    hg = random_connected_hypergraph(rng, 8, 12) if seed % 2 else random_non_odd_transversal(rng)
+    cert = minimal_subset_certificate(hg)
+    if cert is not None:
+        assert 0 < len(cert) < hg.m
+        assert list(cert) == sorted(set(cert))
+        masks = hg.edge_masks()
+        acc = 0
+        for i in cert:
+            acc ^= masks[i]
+        assert acc == 0
 
 
 # ----------------------------------------------------------- edge injection
