@@ -6,6 +6,8 @@ classification applies to, and adjacency-tensor numerics bounding the
 least H-eigenvalue of minimal non-odd-bipartite hypergraphs.
 """
 
+import importlib
+
 from .gf2 import BitMatrix, BitVector, nullspace_dim, rank, solution_count, solve
 from .generators import (
     blowup,
@@ -19,17 +21,6 @@ from .generators import (
 )
 from .hgio import ParseError, format_hypergraph, parse_hypergraph
 from .hypergraph import DualResult, Hypergraph, HypergraphError, InvariantError, build
-from .spectral import (
-    BoundReport,
-    PerronResult,
-    SpectraReport,
-    analyze_spectra,
-    bound_report,
-    flip_vector,
-    lambda_min_upper,
-    rayleigh,
-    spectral_radius,
-)
 from .transversal import (
     ClassificationReport,
     EdgeInjection,
@@ -43,6 +34,31 @@ from .transversal import (
 )
 
 __version__ = "0.1.0"
+
+# The adjacency-tensor names load ``spectral``, and with it numpy, on first
+# use, so the exact GF(2) commands never import numpy.
+_SPECTRAL = (
+    "BoundReport",
+    "PerronResult",
+    "SpectraReport",
+    "analyze_spectra",
+    "bound_report",
+    "flip_vector",
+    "lambda_min_upper",
+    "rayleigh",
+    "spectral_radius",
+)
+
+
+def __getattr__(name: str):
+    if name == "spectral" or name in _SPECTRAL:
+        spectral = importlib.import_module(".spectral", __name__)
+        return spectral if name == "spectral" else getattr(spectral, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SPECTRAL, "spectral"})
 
 __all__ = [
     "BitMatrix",

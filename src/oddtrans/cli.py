@@ -12,6 +12,7 @@ floats are serialized with 12 significant digits, and keys are sorted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import secrets
@@ -19,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
-from . import generators, hgio, spectral, transversal
+from . import generators, hgio, transversal
 from .hypergraph import Hypergraph, HypergraphError
 
 
@@ -53,7 +54,9 @@ def _emit_text(payload: dict[str, Any]) -> None:
 def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         hg, labels = hgio.load(args.path)
-    except (OSError, hgio.ParseError, HypergraphError) as exc:
+        max_t = min(args.max_t, hg.m - 1) if args.max_t is not None else 0
+        violation = transversal.intersection_bound_check(hg, max_t) if max_t >= 1 else None
+    except (OSError, ValueError) as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
         return 2
     report = transversal.classify(hg, definitional=True if args.definitional_check else None)
@@ -85,15 +88,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             if injection is not None
             else None
         ),
-        "intersection_violation": None,
+        "intersection_violation": list(violation) if violation is not None else None,
     }
-    if args.max_t is not None:
-        max_t = min(args.max_t, hg.m - 1)
-        if max_t >= 1:
-            violation = transversal.intersection_bound_check(hg, max_t)
-            payload["intersection_violation"] = (
-                list(violation) if violation is not None else None
-            )
     if args.json:
         _emit_json(payload)
     else:
@@ -176,10 +172,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_spectra(args: argparse.Namespace) -> int:
+    from . import spectral
+
+    given = {"tol": args.tol, "max_iter": args.max_iter}
     try:
         hg, _labels = hgio.load(args.path)
         result = spectral.analyze_spectra(
-            hg, tol=args.tol, max_iter=args.max_iter, restarts=args.restarts, seed=args.seed
+            hg,
+            restarts=args.restarts,
+            seed=args.seed,
+            **{name: value for name, value in given.items() if value is not None},
         )
     except (OSError, ValueError) as exc:
         print(f"error: {args.path}: {exc}", file=sys.stderr)
@@ -247,6 +249,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         columns = ["n", "gcd", "is_minimal", "rank", "rank_expected", "agrees"]
     elif args.name == "beta-trend":
+        from . import spectral
+
         if args.family != "cm-pow":
             print(f"error: unknown sweep family {args.family!r}", file=sys.stderr)
             return 2
@@ -292,6 +296,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oddtrans",
@@ -311,7 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-t",
         type=int,
         default=None,
-        help="also search edge subsets up to this size for union-size violations",
+        help=(
+            "also search edge subsets up to this size for union-size violations"
+            f" (at most {transversal.INTERSECTION_CHECK_MAX_SUBSETS:,} subsets)"
+        ),
     )
     p_analyze.set_defaults(func=cmd_analyze)
 
@@ -352,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectra = sub.add_parser("spectra", help="adjacency-tensor quantities")
     p_spectra.add_argument("path")
     p_spectra.add_argument("--json", action="store_true")
-    p_spectra.add_argument("--tol", type=float, default=spectral.DEFAULT_BRACKET_TOL)
-    p_spectra.add_argument("--max-iter", type=int, default=spectral.DEFAULT_MAX_ITER)
+    p_spectra.add_argument("--tol", type=float, default=None)
+    p_spectra.add_argument("--max-iter", type=int, default=None)
     p_spectra.add_argument("--restarts", type=int, default=8)
     p_spectra.add_argument("--seed", type=int, default=0)
     p_spectra.set_defaults(func=cmd_spectra)

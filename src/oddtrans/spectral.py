@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2, transversal
+from . import transversal
 from .hypergraph import Hypergraph, InvariantError
 
 DEFAULT_BRACKET_TOL = 1e-10
@@ -68,10 +68,16 @@ class _Tensor:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``A x^{k-1}`` by prefix/suffix products, never dividing by x_v (it may be 0)."""
         vals = x[self.edges]
-        ones = np.ones((len(vals), 1))
-        before = np.cumprod(np.hstack([ones, vals[:, :-1]]), axis=1)
-        after = np.cumprod(np.hstack([ones, vals[:, :0:-1]]), axis=1)[:, ::-1]
-        return np.bincount(self.edges.ravel(), (before * after).ravel(), self.n)
+        before = np.empty_like(vals)
+        before[:, 0] = 1.0
+        before[:, 1:] = vals[:, :-1]
+        np.cumprod(before, axis=1, out=before)
+        after = np.empty_like(vals)
+        after[:, 0] = 1.0
+        after[:, 1:] = vals[:, :0:-1]
+        np.cumprod(after, axis=1, out=after)
+        before *= after[:, ::-1]
+        return np.bincount(self.edges.ravel(), before.ravel(), self.n)
 
     def rayleigh(self, x: np.ndarray) -> float:
         """``A x^k``; the ``+ 0.0`` gives a loop's +0.0 when every product is -0.0."""
@@ -89,7 +95,7 @@ def rayleigh(hg: Hypergraph, x: np.ndarray) -> float:
 
 
 def _knorm(x: np.ndarray, k: int) -> float:
-    return float(np.sum(np.abs(x) ** k) ** (1.0 / k))
+    return float((np.abs(x) ** k).sum() ** (1.0 / k))
 
 
 @dataclass(frozen=True)
@@ -229,7 +235,9 @@ def _flip_starts(
         return [_sign_flip(x, report.witness)]
     if not report.is_minimal:
         return []
-    parts = transversal.deletion_transversals(gf2.Factorization(hg.incidence()))
+    parts = report._deletions
+    if parts is None:
+        parts = transversal.deletion_transversals(report._factorization)
     for i, part in enumerate(parts):
         if part is None:
             raise InvariantError(f"deleting edge {i} leaves no odd transversal")

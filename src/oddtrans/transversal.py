@@ -15,8 +15,9 @@ checks: edge injections into vertices and the edge-union size bound.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import gf2
 from .gf2 import BitVector
@@ -24,11 +25,18 @@ from .hypergraph import Hypergraph, InvariantError
 
 BRUTE_FORCE_MAX_VERTICES = 24
 DEFINITIONAL_CHECK_MAX_EDGES = 64
+# About 7 s at 0.7 us per visited edge subset.
+INTERSECTION_CHECK_MAX_SUBSETS = 10**7
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Everything the rank criterion says about one hypergraph."""
+    """Everything the rank criterion says about one hypergraph.
+
+    The incidence factorization, and the single-deletion witnesses when the
+    definitional check ran on input without an odd transversal, are kept
+    for the sign-flip starts of :mod:`oddtrans.spectral`.
+    """
 
     is_odd_transversal: bool
     witness: tuple[int, ...] | None
@@ -40,6 +48,10 @@ class ClassificationReport:
     is_minimal: bool
     minimality_method: str
     definitional_minimal: bool | None = None
+    _factorization: gf2.Factorization | None = field(default=None, compare=False, repr=False)
+    _deletions: list[tuple[int, ...] | None] | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -71,8 +83,9 @@ def deletion_transversals(f: gf2.Factorization) -> list[tuple[int, ...] | None]:
     """The odd transversal of every single-edge deletion, from one factorization.
 
     ``f`` factors the incidence matrix B of a hypergraph G that has no odd
-    transversal (checked; ``ValueError`` otherwise).  Entry i solves
-    ``B x = 1 + e_i`` and is exactly ``find_odd_transversal(G - e_i)``:
+    transversal: some dependency has odd weight (checked; ``ValueError``
+    otherwise).  Entry i solves ``B x = 1 + e_i`` and is exactly
+    ``find_odd_transversal(G - e_i)``:
 
     1. Since ``B x = 1`` has no solution, every odd transversal of G - e_i
        meets e_i evenly (meeting it oddly would solve ``B x = 1``), so the
@@ -83,9 +96,9 @@ def deletion_transversals(f: gf2.Factorization) -> list[tuple[int, ...] | None]:
     3. The set of lowest-bit pivots depends on the row space only, and so
        does the solution with every free variable zero.
     """
-    ones = BitVector.ones(f.matrix.rows)
-    if f.solve(ones) is not None:
+    if not any(dep.weight() & 1 for dep in f.dependencies):
         raise ValueError("deletion witnesses need a hypergraph with no odd transversal")
+    ones = BitVector.ones(f.matrix.rows)
     solutions = (f.solve(BitVector(ones.size, ones.bits ^ (1 << i))) for i in range(ones.size))
     return [x.support() if x is not None else None for x in solutions]
 
@@ -133,9 +146,11 @@ def classify(hg: Hypergraph, definitional: bool | None = None) -> Classification
     if definitional is None:
         definitional = hg.m <= DEFINITIONAL_CHECK_MAX_EDGES
     definitional_minimal: bool | None = None
+    deletions = None
     method = "rank-criterion"
     if definitional:
-        definitional_minimal = x is None and None not in deletion_transversals(f)
+        deletions = deletion_transversals(f) if x is None else None
+        definitional_minimal = deletions is not None and None not in deletions
         # For connected inputs the two verdicts provably coincide; a
         # mismatch would mean a defect in the solver or rank computation.
         if connected and definitional_minimal != is_minimal:
@@ -156,6 +171,8 @@ def classify(hg: Hypergraph, definitional: bool | None = None) -> Classification
         is_minimal=is_minimal,
         minimality_method=method,
         definitional_minimal=definitional_minimal,
+        _factorization=f,
+        _deletions=deletions,
     )
 
 
@@ -201,20 +218,40 @@ def _hopcroft_karp(adjacency: list[list[int]], n_right: int) -> dict[int, int]:
                     queue.append(w)
         return found
 
-    def dfs(u: int) -> bool:
-        for v in adjacency[u]:
-            w = match_right[v]
-            if w is None or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_left[u] = v
-                match_right[v] = u
-                return True
-        dist[u] = inf
-        return False
+    def augment(root: int) -> None:
+        """The layered depth-first search from a free left vertex, on an explicit stack.
+
+        ``path`` holds the left vertices of the current alternating path and
+        ``nxt`` the index of the neighbour each one is trying.  Neighbours are
+        tried in adjacency order and a dead end gets distance infinity, as in
+        the recursive textbook form, so the same augmenting paths are found.
+        """
+        path, nxt = [root], [0]
+        while path:
+            u, i = path[-1], nxt[-1]
+            if i == len(adjacency[u]):
+                dist[u] = inf
+                path.pop()
+                nxt.pop()
+                if nxt:
+                    nxt[-1] += 1
+                continue
+            w = match_right[adjacency[u][i]]
+            if w is None:
+                for left, j in zip(path, nxt):
+                    match_left[left] = adjacency[left][j]
+                    match_right[adjacency[left][j]] = left
+                return
+            if dist[w] == dist[u] + 1:
+                path.append(w)
+                nxt.append(0)
+            else:
+                nxt[-1] += 1
 
     while bfs():
         for u in range(n_left):
             if match_left[u] is None:
-                dfs(u)
+                augment(u)
     return {u: v for u, v in enumerate(match_left) if v is not None}
 
 
@@ -239,10 +276,18 @@ def intersection_bound_check(hg: Hypergraph, max_t: int) -> tuple[int, ...] | No
 
     Returns the offending edge-index set, or None when every subset up to
     ``max_t`` covers at least one vertex more than its size.  Enumeration is
-    exponential in ``max_t``, hence the explicit cap.
+    exponential in ``max_t``, so a search over more than
+    ``INTERSECTION_CHECK_MAX_SUBSETS`` subsets raises ``ValueError`` before
+    visiting any.
     """
     if not 1 <= max_t <= hg.m - 1:
         raise ValueError(f"max_t must be in [1, m-1]; got {max_t} with m={hg.m}")
+    subsets = sum(math.comb(hg.m, t) for t in range(1, max_t + 1))
+    if subsets > INTERSECTION_CHECK_MAX_SUBSETS:
+        raise ValueError(
+            f"max_t={max_t} would visit {subsets:,} edge subsets, "
+            f"more than the cap of {INTERSECTION_CHECK_MAX_SUBSETS:,}"
+        )
     masks = hg.edge_masks()
     for t in range(1, max_t + 1):
         for combo in itertools.combinations(range(hg.m), t):

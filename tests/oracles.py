@@ -3,7 +3,7 @@
 Everything here is written naively on purpose: entry-by-entry elimination
 over 0/1 lists (rank, and solves with every free variable zero),
 exhaustive enumeration over all vectors or vertex subsets, explicit
-two-colorings, the full tensor contraction summed over every index
+two-colorings, one augmenting-path search per edge for matchings, the full tensor contraction summed over every index
 ordering, and per-edge product loops in plain floats.  None of it shares
 code with the package.
 """
@@ -93,6 +93,37 @@ def brute_odd_transversals(edges: list[tuple[int, ...]], n: int) -> list[int]:
         if all((subset & mask).bit_count() % 2 == 1 for mask in masks):
             hits.append(subset)
     return hits
+
+
+def max_matching_size(edges: list[tuple[int, ...]]) -> int:
+    """Most edges that can each be matched to a distinct vertex of their own.
+
+    Kuhn's method: edges in order, one breadth-first search per edge for an
+    alternating path to a free vertex, flipped back to the edge it started
+    from.
+    """
+    owner: dict[int, int] = {}  # matched vertex -> its edge
+    mate: dict[int, int] = {}  # matched edge -> its vertex
+    for root in range(len(edges)):
+        reached_from: dict[int, int] = {}  # vertex -> the edge the search reached it from
+        queue, free = [root], None
+        for e in queue:  # the queue grows while it is read
+            for v in edges[e]:
+                if v in reached_from:
+                    continue
+                reached_from[v] = e
+                if v not in owner:
+                    free = v
+                    break
+                queue.append(owner[v])
+            if free is not None:
+                break
+        while free is not None:
+            e = reached_from[free]
+            previous = mate.get(e)
+            owner[free], mate[e] = e, free
+            free = previous
+    return len(mate)
 
 
 def is_bipartite_graph(n: int, edges: list[tuple[int, int]]) -> bool:

@@ -1,19 +1,38 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import oddtrans
 from oddtrans import Hypergraph, classify, fixtures, gf2, parse_hypergraph, spectral, transversal
 from oddtrans.cli import main
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(*args):
+    """Run a fresh interpreter on the package sources; returns its stdout."""
+    result = subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
 
 
 # ----------------------------------------------------------------- analyze
@@ -80,7 +99,7 @@ def test_non_utf8_file_is_an_input_error(capsys, tmp_path, command):
         (("analyze", "--json"), 1),
         (("analyze", "--json", "--definitional-check"), 1),
         (("check",), 1),
-        (("spectra", "--json"), 2),
+        (("spectra", "--json"), 1),
     ],
 )
 def test_one_factorization_per_hypergraph(capsys, monkeypatch, argv, most):
@@ -103,6 +122,15 @@ def test_analyze_intersection_flag(capsys):
     )
     assert code == 0
     assert json.loads(out)["intersection_violation"] is None
+
+
+def test_analyze_refuses_an_intersection_search_over_the_cap(capsys, tmp_path):
+    path = tmp_path / "tworeg.hg"
+    run(capsys, "generate", "tworeg", "--k", "8", "--m", "401", "--seed", "3", "--out", path)
+    code, out, err = run(capsys, "analyze", path, "--json", "--max-t", "4")
+    assert code == 2
+    assert out == ""
+    assert "would visit 1,072,073,901 edge subsets, more than the cap of 10,000,000" in err
 
 
 # ---------------------------------------------------------------- generate
@@ -321,6 +349,49 @@ def test_sweep_unknown_name_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["sweep", "nonsense"])
     assert info.value.code == 2
+
+
+# ------------------------------------------------------------ process costs
+
+
+def test_exact_commands_do_not_import_numpy(capsys):
+    path = str(FIXTURE_DIR / "c3_pow42.hg")
+    script = textwrap.dedent(
+        f"""
+        import sys
+        from oddtrans.cli import main
+
+        path = {path!r}
+        main(["check", path])
+        main(["analyze", path, "--json"])
+        main(["generate", "cayley", "--n", "7", "--k", "4"])
+        main(["sweep", "dreg-gcd", "--json"])
+        if "numpy" in sys.modules:
+            sys.exit("numpy was imported")
+        print("--- spectra")
+        main(["spectra", path, "--json"])
+        """
+    )
+    out = run_python("-c", script)
+    assert out.split("--- spectra\n")[1] == run(capsys, "spectra", path, "--json")[1]
+
+
+def test_package_loads_spectral_names_on_first_use():
+    namespace = {}
+    exec("from oddtrans import *", namespace)
+    assert set(oddtrans.__all__) <= namespace.keys()
+    assert oddtrans.spectral_radius is oddtrans.spectral.spectral_radius
+    assert {"spectral", "spectral_radius", "classify"} <= set(dir(oddtrans))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        oddtrans.no_such_name
+
+
+def test_parser_built_once_keeps_no_state_between_calls(capsys):
+    path = str(FIXTURE_DIR / "nonregular_9v.hg")
+    calls = [("spectra", path, "--tol", "1e-3"), ("spectra", path)]
+    fresh = [run_python("-m", "oddtrans", *argv) for argv in calls]
+    assert fresh[0] != fresh[1]
+    assert [run(capsys, *argv)[1] for argv in calls] == fresh
 
 
 # ------------------------------------------------------------ JSON contract

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_odd_transversals, naive_solve
+from oracles import brute_odd_transversals, max_matching_size, naive_solve
 from support import even_edged_minimal_fixtures, random_connected_hypergraph
 
 from oddtrans import (
@@ -23,6 +23,7 @@ from oddtrans import (
     power,
     rank,
 )
+from oddtrans import transversal
 from oddtrans.gf2 import BitMatrix, Factorization
 from oddtrans.transversal import deletion_transversals
 
@@ -293,6 +294,37 @@ def test_injection_absent_when_edges_outnumber_vertices():
     assert edge_injection(hg) is None
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), unique=True, max_size=12),
+        )
+    )
+)
+def test_matching_is_maximum(instance):
+    n, edge_sets = instance
+    edges = [tuple(sorted(e)) for e in edge_sets]
+    matching = transversal._hopcroft_karp([list(e) for e in edges], n)
+    assert all(v in edges[e] for e, v in matching.items())
+    assert len(set(matching.values())) == len(matching)
+    assert len(matching) == max_matching_size(edges)
+    injection = edge_injection(build(n, edges, allow_isolated=True))
+    assert (injection is not None) == (len(matching) == len(edges))
+
+
+def test_injection_along_a_long_path():
+    # Edges {i, i+1}, then {0}: the last edge's only augmenting path runs
+    # the whole path, one search level per edge.
+    length = 1500
+    edges = [(i, i + 1) for i in range(length)] + [(0,)]
+    injection = edge_injection(build(length + 1, edges))
+    assert injection is not None
+    assert injection.assignment == {**{i: i + 1 for i in range(length)}, length: 0}
+    assert len(injection.assignment) == max_matching_size(edges)
+
+
 # ------------------------------------------------------ intersection bound
 
 
@@ -315,6 +347,15 @@ def test_intersection_bound_detects_violation():
 def test_intersection_bound_rejects_bad_max_t():
     with pytest.raises(ValueError):
         intersection_bound_check(FIX["c3_pow42"], 3)
+
+
+def test_intersection_bound_caps_the_subsets_it_visits(monkeypatch):
+    hg = FIX["c3_pow42"]  # m = 3: max_t = 2 visits 3 + 3 subsets
+    monkeypatch.setattr(transversal, "INTERSECTION_CHECK_MAX_SUBSETS", 6)
+    assert intersection_bound_check(hg, 2) is None
+    monkeypatch.setattr(transversal, "INTERSECTION_CHECK_MAX_SUBSETS", 5)
+    with pytest.raises(ValueError, match="would visit 6 edge subsets, more than the cap of 5"):
+        intersection_bound_check(hg, 2)
 
 
 # ---------------------------------------------------- even-edged corollaries
