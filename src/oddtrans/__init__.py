@@ -6,8 +6,6 @@ classification applies to, and adjacency-tensor numerics bounding the
 least H-eigenvalue of minimal non-odd-bipartite hypergraphs.
 """
 
-import importlib
-
 from .gf2 import BitMatrix, BitVector, nullspace_dim, rank, solution_count, solve
 from .generators import (
     blowup,
@@ -52,6 +50,9 @@ _SPECTRAL = (
 
 def __getattr__(name: str):
     if name == "spectral" or name in _SPECTRAL:
+        # Not ``from . import spectral``: its fromlist lookup calls this hook again.
+        import importlib
+
         spectral = importlib.import_module(".spectral", __name__)
         return spectral if name == "spectral" else getattr(spectral, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -59,6 +60,7 @@ def __getattr__(name: str):
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *_SPECTRAL, "spectral"})
+
 
 __all__ = [
     "BitMatrix",

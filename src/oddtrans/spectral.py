@@ -68,16 +68,11 @@ class _Tensor:
     def apply(self, x: np.ndarray) -> np.ndarray:
         """``A x^{k-1}`` by prefix/suffix products, never dividing by x_v (it may be 0)."""
         vals = x[self.edges]
-        before = np.empty_like(vals)
-        before[:, 0] = 1.0
-        before[:, 1:] = vals[:, :-1]
-        np.cumprod(before, axis=1, out=before)
-        after = np.empty_like(vals)
-        after[:, 0] = 1.0
-        after[:, 1:] = vals[:, :0:-1]
-        np.cumprod(after, axis=1, out=after)
-        before *= after[:, ::-1]
-        return np.bincount(self.edges.ravel(), before.ravel(), self.n)
+        before = np.ones_like(vals)
+        after = np.ones_like(vals)
+        np.cumprod(vals[:, :-1], axis=1, out=before[:, 1:])
+        np.cumprod(vals[:, :0:-1], axis=1, out=after[:, -2::-1])
+        return np.bincount(self.edges.ravel(), (before * after).ravel(), self.n)
 
     def rayleigh(self, x: np.ndarray) -> float:
         """``A x^k``; the ``+ 0.0`` gives a loop's +0.0 when every product is -0.0."""
@@ -95,7 +90,7 @@ def rayleigh(hg: Hypergraph, x: np.ndarray) -> float:
 
 
 def _knorm(x: np.ndarray, k: int) -> float:
-    return float((np.abs(x) ** k).sum() ** (1.0 / k))
+    return float(np.sum(np.abs(x) ** k) ** (1.0 / k))
 
 
 @dataclass(frozen=True)
@@ -235,9 +230,7 @@ def _flip_starts(
         return [_sign_flip(x, report.witness)]
     if not report.is_minimal:
         return []
-    parts = report._deletions
-    if parts is None:
-        parts = transversal.deletion_transversals(report._factorization)
+    parts = transversal.deletion_transversals(report._factorization)
     for i, part in enumerate(parts):
         if part is None:
             raise InvariantError(f"deleting edge {i} leaves no odd transversal")

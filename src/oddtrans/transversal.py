@@ -15,7 +15,6 @@ checks: edge injections into vertices and the edge-union size bound.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -25,17 +24,14 @@ from .hypergraph import Hypergraph, InvariantError
 
 BRUTE_FORCE_MAX_VERTICES = 24
 DEFINITIONAL_CHECK_MAX_EDGES = 64
-# About 7 s at 0.7 us per visited edge subset.
-INTERSECTION_CHECK_MAX_SUBSETS = 10**7
 
 
 @dataclass(frozen=True)
 class ClassificationReport:
     """Everything the rank criterion says about one hypergraph.
 
-    The incidence factorization, and the single-deletion witnesses when the
-    definitional check ran on input without an odd transversal, are kept
-    for the sign-flip starts of :mod:`oddtrans.spectral`.
+    The incidence factorization is kept for the sign-flip starts of
+    :mod:`oddtrans.spectral`.
     """
 
     is_odd_transversal: bool
@@ -49,9 +45,6 @@ class ClassificationReport:
     minimality_method: str
     definitional_minimal: bool | None = None
     _factorization: gf2.Factorization | None = field(default=None, compare=False, repr=False)
-    _deletions: list[tuple[int, ...] | None] | None = field(
-        default=None, compare=False, repr=False
-    )
 
 
 @dataclass(frozen=True)
@@ -146,11 +139,9 @@ def classify(hg: Hypergraph, definitional: bool | None = None) -> Classification
     if definitional is None:
         definitional = hg.m <= DEFINITIONAL_CHECK_MAX_EDGES
     definitional_minimal: bool | None = None
-    deletions = None
     method = "rank-criterion"
     if definitional:
-        deletions = deletion_transversals(f) if x is None else None
-        definitional_minimal = deletions is not None and None not in deletions
+        definitional_minimal = x is None and None not in deletion_transversals(f)
         # For connected inputs the two verdicts provably coincide; a
         # mismatch would mean a defect in the solver or rank computation.
         if connected and definitional_minimal != is_minimal:
@@ -172,7 +163,6 @@ def classify(hg: Hypergraph, definitional: bool | None = None) -> Classification
         minimality_method=method,
         definitional_minimal=definitional_minimal,
         _factorization=f,
-        _deletions=deletions,
     )
 
 
@@ -276,18 +266,10 @@ def intersection_bound_check(hg: Hypergraph, max_t: int) -> tuple[int, ...] | No
 
     Returns the offending edge-index set, or None when every subset up to
     ``max_t`` covers at least one vertex more than its size.  Enumeration is
-    exponential in ``max_t``, so a search over more than
-    ``INTERSECTION_CHECK_MAX_SUBSETS`` subsets raises ``ValueError`` before
-    visiting any.
+    exponential in ``max_t``, hence the explicit cap.
     """
     if not 1 <= max_t <= hg.m - 1:
         raise ValueError(f"max_t must be in [1, m-1]; got {max_t} with m={hg.m}")
-    subsets = sum(math.comb(hg.m, t) for t in range(1, max_t + 1))
-    if subsets > INTERSECTION_CHECK_MAX_SUBSETS:
-        raise ValueError(
-            f"max_t={max_t} would visit {subsets:,} edge subsets, "
-            f"more than the cap of {INTERSECTION_CHECK_MAX_SUBSETS:,}"
-        )
     masks = hg.edge_masks()
     for t in range(1, max_t + 1):
         for combo in itertools.combinations(range(hg.m), t):

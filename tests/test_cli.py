@@ -10,6 +10,7 @@ import pytest
 
 import oddtrans
 from oddtrans import Hypergraph, classify, fixtures, gf2, parse_hypergraph, spectral, transversal
+from oddtrans import cli
 from oddtrans.cli import main
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
@@ -130,7 +131,19 @@ def test_analyze_refuses_an_intersection_search_over_the_cap(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", path, "--json", "--max-t", "4")
     assert code == 2
     assert out == ""
-    assert "would visit 1,072,073,901 edge subsets, more than the cap of 10,000,000" in err
+    assert "--max-t 4 would visit 1,072,073,901 edge subsets, more than the cap of 10,000,000" in err
+
+
+def test_analyze_caps_the_intersection_search(capsys, monkeypatch):
+    path = FIXTURE_DIR / "c3_pow42.hg"  # m = 3: --max-t 2 visits 3 + 3 subsets
+    monkeypatch.setattr(cli, "MAX_T_SUBSETS", 6)
+    code, out, _ = run(capsys, "analyze", path, "--json", "--max-t", "2")
+    assert code == 0
+    assert json.loads(out)["intersection_violation"] is None
+    monkeypatch.setattr(cli, "MAX_T_SUBSETS", 5)
+    code, out, err = run(capsys, "analyze", path, "--json", "--max-t", "5")
+    assert (code, out) == (2, "")
+    assert "--max-t 5 would visit 6 edge subsets, more than the cap of 5" in err
 
 
 # ---------------------------------------------------------------- generate

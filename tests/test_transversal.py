@@ -349,15 +349,6 @@ def test_intersection_bound_rejects_bad_max_t():
         intersection_bound_check(FIX["c3_pow42"], 3)
 
 
-def test_intersection_bound_caps_the_subsets_it_visits(monkeypatch):
-    hg = FIX["c3_pow42"]  # m = 3: max_t = 2 visits 3 + 3 subsets
-    monkeypatch.setattr(transversal, "INTERSECTION_CHECK_MAX_SUBSETS", 6)
-    assert intersection_bound_check(hg, 2) is None
-    monkeypatch.setattr(transversal, "INTERSECTION_CHECK_MAX_SUBSETS", 5)
-    with pytest.raises(ValueError, match="would visit 6 edge subsets, more than the cap of 5"):
-        intersection_bound_check(hg, 2)
-
-
 # ---------------------------------------------------- even-edged corollaries
 
 
