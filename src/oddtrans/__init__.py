@@ -36,7 +36,6 @@ __version__ = "0.1.0"
 # The adjacency-tensor names load ``spectral``, and with it numpy, on first
 # use, so the exact GF(2) commands never import numpy.
 _SPECTRAL = (
-    "BoundReport",
     "PerronResult",
     "SpectraReport",
     "analyze_spectra",
@@ -65,7 +64,6 @@ def __dir__() -> list[str]:
 __all__ = [
     "BitMatrix",
     "BitVector",
-    "BoundReport",
     "ClassificationReport",
     "DualResult",
     "EdgeInjection",

@@ -28,6 +28,22 @@ from .hypergraph import Hypergraph, HypergraphError
 MAX_T_SUBSETS = 10**7
 
 
+def nonnegative_int(text: str) -> int:
+    """An argparse type: an integer that is at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
+def positive_float(text: str) -> float:
+    """An argparse type: a finite number greater than 0."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not a finite number > 0")
+    return value
+
+
 def _round_floats(obj: Any) -> Any:
     if isinstance(obj, float):
         return float(f"{obj:.12g}") if math.isfinite(obj) else None
@@ -330,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_analyze.add_argument(
         "--max-t",
-        type=int,
+        type=nonnegative_int,
         default=None,
         help=(
             "also search edge subsets up to this size for union-size violations"
@@ -376,9 +392,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectra = sub.add_parser("spectra", help="adjacency-tensor quantities")
     p_spectra.add_argument("path")
     p_spectra.add_argument("--json", action="store_true")
-    p_spectra.add_argument("--tol", type=float, default=None)
-    p_spectra.add_argument("--max-iter", type=int, default=None)
-    p_spectra.add_argument("--restarts", type=int, default=8)
+    p_spectra.add_argument("--tol", type=positive_float, default=None)
+    p_spectra.add_argument("--max-iter", type=nonnegative_int, default=None)
+    p_spectra.add_argument("--restarts", type=nonnegative_int, default=8)
     p_spectra.add_argument("--seed", type=int, default=0)
     p_spectra.set_defaults(func=cmd_spectra)
 
@@ -393,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n-max", type=int, default=21)
     p_sweep.add_argument("--family", default="cm-pow")
     p_sweep.add_argument("--m-list", default="3,5,7")
-    p_sweep.add_argument("--restarts", type=int, default=4)
+    p_sweep.add_argument("--restarts", type=nonnegative_int, default=4)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -100,20 +100,10 @@ class BitMatrix:
         data = tuple(packed)
         return cls(len(data), cols, data)
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> BitMatrix:
-        return cls(rows, cols, (0,) * rows)
-
     def get(self, r: int, c: int) -> int:
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError((r, c))
         return (self.data[r] >> c) & 1
-
-    def row(self, r: int) -> BitVector:
-        return BitVector(self.cols, self.data[r])
-
-    def to_bits(self) -> list[list[int]]:
-        return [[(row >> j) & 1 for j in range(self.cols)] for row in self.data]
 
 
 class Factorization:
@@ -208,11 +198,6 @@ def solution_count(m: BitMatrix, b: BitVector) -> int:
 def nullspace_dim(m: BitMatrix) -> int:
     """Dimension of the solution space of ``m @ x = 0`` (cols minus rank)."""
     return m.cols - rank(m)
-
-
-def nullspace_basis(m: BitMatrix) -> list[BitVector]:
-    """A basis of the right nullspace of ``m``: the dependencies of its transpose."""
-    return list(Factorization(transpose(m)).dependencies)
 
 
 def transpose(m: BitMatrix) -> BitMatrix:

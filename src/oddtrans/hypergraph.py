@@ -7,8 +7,8 @@ every query here is a pure function, so hypergraphs are safe to share
 across threads.
 
 Use :func:`build` to construct validated instances; the raw dataclass
-constructor is reserved for internal transformations that preserve the
-invariants by themselves (e.g. edge deletion).
+constructor checks nothing, so it is only for edges that already satisfy
+the invariants.
 """
 
 from __future__ import annotations
@@ -94,15 +94,6 @@ class Hypergraph:
             return None
         return degs.pop()
 
-    def delete_edge(self, index: int) -> Hypergraph:
-        """The hypergraph minus one edge, on the unchanged vertex set.
-
-        Vertices that lose their last edge stay as isolated vertices.
-        """
-        if not 0 <= index < self.m:
-            raise IndexError(index)
-        return Hypergraph(self.n, self.edges[:index] + self.edges[index + 1 :])
-
     def dual(self) -> DualResult:
         """Exchange the roles of vertices and edges via vertex stars.
 
@@ -126,89 +117,11 @@ class Hypergraph:
             stars.append(star)
         return DualResult(build(self.m, stars), duplicate)
 
-    def edge_induced(self, indices: Iterable[int]) -> tuple[Hypergraph, tuple[int, ...]]:
-        """Sub-hypergraph on the union of the selected edges.
-
-        Vertices are relabeled compactly; the second element maps each new
-        vertex index back to the original vertex.
-        """
-        chosen = sorted(set(indices))
-        if not chosen:
-            raise HypergraphError("edge-induced sub-hypergraph needs at least one edge")
-        for i in chosen:
-            if not 0 <= i < self.m:
-                raise HypergraphError(f"edge index {i} out of range")
-        verts = sorted({v for i in chosen for v in self.edges[i]})
-        rename = {v: j for j, v in enumerate(verts)}
-        sub_edges = tuple(tuple(rename[v] for v in self.edges[i]) for i in chosen)
-        return Hypergraph(len(verts), sub_edges), tuple(verts)
-
-    def vertex_induced(self, vertices: Iterable[int]) -> list[tuple[int, tuple[int, ...]]]:
-        """Edge traces on a vertex subset, keyed by the originating edge.
-
-        Every edge with a non-empty intersection contributes one entry, so
-        coinciding traces are kept apart; that multiplicity is exactly what
-        the sub-structure counting arguments need.
-        """
-        keep = set(vertices)
-        if not keep:
-            raise HypergraphError("vertex-induced sub-hypergraph needs at least one vertex")
-        for v in keep:
-            if not 0 <= v < self.n:
-                raise HypergraphError(f"vertex {v} out of range")
-        out = []
-        for i, e in enumerate(self.edges):
-            trace = tuple(v for v in e if v in keep)
-            if trace:
-                out.append((i, trace))
-        return out
-
     def is_connected(self) -> bool:
         """True when every pair of vertices is joined by a walk."""
         if self.n <= 1:
             return True
         return _component_count(range(self.n), self.edges) == 1
-
-    def walk_between(self, u: int, v: int) -> list[int] | None:
-        """A shortest alternating walk ``[v0, e1, v1, ..., et, vt]`` or None.
-
-        Vertices and edge indices alternate; consecutive vertices share the
-        edge between them.
-        """
-        for w in (u, v):
-            if not 0 <= w < self.n:
-                raise HypergraphError(f"vertex {w} out of range")
-        if u == v:
-            return [u]
-        incident: list[list[int]] = [[] for _ in range(self.n)]
-        for i, e in enumerate(self.edges):
-            for w in e:
-                incident[w].append(i)
-        prev: dict[int, tuple[int, int]] = {}
-        frontier = [u]
-        seen = {u}
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for i in incident[a]:
-                    for b in self.edges[i]:
-                        if b in seen:
-                            continue
-                        seen.add(b)
-                        prev[b] = (a, i)
-                        if b == v:
-                            walk = [b]
-                            cur = b
-                            while cur != u:
-                                a0, e0 = prev[cur]
-                                walk.append(e0)
-                                walk.append(a0)
-                                cur = a0
-                            walk.reverse()
-                            return walk
-                        nxt.append(b)
-            frontier = nxt
-        return None
 
     def cut_vertices(self) -> tuple[int, ...]:
         """Vertices whose removal disconnects the vertex-induced remainder.

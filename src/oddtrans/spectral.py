@@ -368,26 +368,13 @@ def analyze_spectra(
     return SpectraReport(k, perron, report, lam, alpha, beta, bound1, bound2, flip_min, flip_error)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Spectral quantities for one minimal non-odd-bipartite hypergraph."""
+def bound_report(hg: Hypergraph, restarts: int = 8, seed: int = 0) -> SpectraReport:
+    """The :func:`analyze_spectra` report of a minimal hypergraph of even uniformity.
 
-    rho: float
-    bound1: float
-    bound2: float
-    flip_value_min_edge: float
-    lambda_min_upper: float
-    alpha: float
-    beta: float
-
-
-def bound_report(hg: Hypergraph, restarts: int = 8, seed: int = 0) -> BoundReport:
-    """Both closed-form upper bounds on the least H-eigenvalue and the estimates.
-
-    The values are those of :func:`analyze_spectra` at the default
-    tolerance, including its consistency checks; input that is not minimal
-    of even uniformity raises ``ValueError``, and a power iteration that
-    does not converge raises ``RuntimeError``.
+    It is computed at the default tolerance, including the consistency
+    checks, so every bound and estimate in it is set.  Input that is not
+    minimal of even uniformity raises ``ValueError``, and a power iteration
+    that does not converge raises ``RuntimeError``.
     """
     if _Tensor.of(hg).k % 2:
         raise ValueError("bound report needs even uniformity")
@@ -396,12 +383,4 @@ def bound_report(hg: Hypergraph, restarts: int = 8, seed: int = 0) -> BoundRepor
         raise ValueError("bound report applies to minimal hypergraphs only")
     if not spectra.perron.converged:
         raise RuntimeError("the power iteration did not converge")
-    return BoundReport(
-        spectra.perron.rho,
-        spectra.bound1,
-        spectra.bound2,
-        spectra.flip_value_min_edge,
-        spectra.lambda_min_upper,
-        spectra.alpha,
-        spectra.beta,
-    )
+    return spectra

@@ -68,7 +68,8 @@ def naive_solve(bits: list[list[int]], rhs: list[int], n_cols: int) -> list[int]
 def brute_solution_count(bits: list[list[int]], rhs: list[int]) -> int:
     """Count solutions of a GF(2) system by trying all 2**cols vectors."""
     n_cols = len(bits[0]) if bits else 0
-    assert n_cols <= 20, "oracle guard"
+    if n_cols > 20:
+        raise ValueError("oracle guard: more than 20 columns")
     count = 0
     for assignment in itertools.product((0, 1), repeat=n_cols):
         if all(
@@ -81,7 +82,8 @@ def brute_solution_count(bits: list[list[int]], rhs: list[int]) -> int:
 
 def brute_odd_transversals(edges: list[tuple[int, ...]], n: int) -> list[int]:
     """All vertex subsets (as bit masks) meeting every edge oddly."""
-    assert n <= 20, "oracle guard"
+    if n > 20:
+        raise ValueError("oracle guard: more than 20 vertices")
     masks = []
     for e in edges:
         mask = 0

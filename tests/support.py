@@ -5,7 +5,22 @@ from __future__ import annotations
 import math
 import random
 
-from oddtrans import Hypergraph, build, cayley, fixtures, projective_plane, simplex
+from oddtrans import BitMatrix, Hypergraph, build, cayley, fixtures, projective_plane, simplex
+
+
+def delete_edge(hg: Hypergraph, i: int) -> Hypergraph:
+    """``hg`` minus edge ``i`` on the same vertex set, the single-deletion oracle.
+
+    Vertices that lose their last edge stay as isolated vertices.
+    """
+    if not 0 <= i < hg.m:
+        raise IndexError(i)
+    return build(hg.n, hg.edges[:i] + hg.edges[i + 1 :], allow_isolated=True)
+
+
+def bit_rows(matrix: BitMatrix) -> list[list[int]]:
+    """The 0/1 entries of a packed GF(2) matrix, one list per row."""
+    return [[(row >> j) & 1 for j in range(matrix.cols)] for row in matrix.data]
 
 
 def random_connected_hypergraph(
@@ -35,8 +50,10 @@ def random_uniform_hypergraph(
     rng: random.Random, n: int, m: int, k: int, connected: bool = False
 ) -> Hypergraph:
     """A random k-uniform hypergraph covering all n vertices."""
-    assert k <= n <= m * k, "parameters must admit full vertex coverage"
-    assert m <= math.comb(n, k), "not enough distinct edges available"
+    if not k <= n <= m * k:
+        raise ValueError("parameters must admit full vertex coverage")
+    if m > math.comb(n, k):
+        raise ValueError("not enough distinct edges available")
     while True:
         edges: set[tuple[int, ...]] = set()
         for _ in range(400):
@@ -96,5 +113,7 @@ def even_edged_minimal_fixtures() -> dict[str, Hypergraph]:
     """Minimal fixtures whose edges all have even size."""
     out = dict(minimal_uniform_fixtures())
     out["genexm1"] = fixtures()["genexm1"]
-    assert all(all(len(e) % 2 == 0 for e in hg.edges) for hg in out.values())
+    for name, hg in out.items():
+        if any(len(e) % 2 for e in hg.edges):
+            raise ValueError(f"{name} has an edge of odd size")
     return out

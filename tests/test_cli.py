@@ -364,6 +364,35 @@ def test_sweep_unknown_name_exits_2(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectra", "--tol", "nan"], "argument --tol: nan is not a finite number > 0"),
+        (["spectra", "--tol", "-1"], "argument --tol: -1 is not a finite number > 0"),
+        (["spectra", "--max-iter", "-3"], "argument --max-iter: -3 is negative"),
+        (["spectra", "--restarts", "-2"], "argument --restarts: -2 is negative"),
+        (["sweep", "beta-trend", "--restarts", "-2"], "argument --restarts: -2 is negative"),
+        (["analyze", "--max-t", "-4"], "argument --max-t: -4 is negative"),
+    ],
+    ids=["tol-nan", "tol-negative", "max-iter", "spectra-restarts", "sweep-restarts", "max-t"],
+)
+def test_bad_numeric_options_exit_2(capsys, argv, message):
+    if argv[0] != "sweep":
+        argv = argv + [str(FIXTURE_DIR / "c3_pow42.hg")]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_zero_counts_are_accepted(capsys):
+    path = FIXTURE_DIR / "c3_pow42.hg"
+    assert run(capsys, "analyze", path, "--max-t", "0")[0] == 0
+    assert run(capsys, "spectra", path, "--restarts", "0")[0] == 0
+
+
 # ------------------------------------------------------------ process costs
 
 

@@ -33,7 +33,7 @@ from oddtrans import (
     simplex,
     spectral_radius,
 )
-from oddtrans.spectral import apply, rayleigh
+from oddtrans.spectral import SpectraReport, apply, rayleigh
 
 FIX = fixtures()
 C3 = FIX["c3_pow42"]
@@ -235,18 +235,20 @@ def test_lambda_upper_is_deterministic_for_a_seed():
 
 def test_bound_report_triangle_power_values():
     report = bound_report(C3)
-    assert abs(report.rho - 2.0) < 1e-8
+    assert isinstance(report, SpectraReport)
+    rho = report.perron.rho
+    assert abs(rho - 2.0) < 1e-8
     assert abs(report.bound1 - (-2.0 + 8.0 / 6 ** 0.25)) < 1e-8
     assert abs(report.bound2 - (-2.0 / 3.0)) < 1e-8
     assert abs(report.flip_value_min_edge - report.bound2) < 1e-8  # regular case
     assert report.lambda_min_upper <= report.bound2 + 1e-8
-    assert abs(report.alpha - (report.rho + report.lambda_min_upper)) < 1e-12
-    assert abs(report.beta - (-report.lambda_min_upper / report.rho)) < 1e-12
+    assert abs(report.alpha - (rho + report.lambda_min_upper)) < 1e-12
+    assert abs(report.beta - (-report.lambda_min_upper / rho)) < 1e-12
 
 
 def test_bound_report_cayley_window():
     report = bound_report(cayley(7, 4))
-    assert abs(report.rho - 4.0) < 1e-8
+    assert abs(report.perron.rho - 4.0) < 1e-8
     assert abs(report.bound2 - (-(1.0 - 2.0 / 7.0) * 4.0)) < 1e-8
 
 
