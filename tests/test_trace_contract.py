@@ -11,14 +11,9 @@ from pathlib import Path
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
 
-def load_tracer():
+def test_every_traced_name_resolves():
     spec = importlib.util.spec_from_file_location("oddtrans_bench_tracer", TRACER_PATH)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer
-
-
-def test_every_traced_name_resolves():
-    tracer = load_tracer()
     missing = [target for target in tracer.TRACED if tracer._resolve(target) is None]
     assert missing == []
