@@ -7,6 +7,11 @@ predicate: 0 minimal, 1 not, 2 error), and ``sweep`` (parameter tables).
 
 JSON output is schema-stable: the same command always emits the same keys,
 floats are serialized with 12 significant digits, and keys are sorted.
+
+The commands do not catch errors.  :func:`main` alone turns an ``OSError``
+or a ``ValueError`` (the package's type for rejected input) into an
+``error: [<path>: ]<message>`` line on stderr and exit code 2.  An
+``InvariantError`` is a defect and propagates.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import generators, hgio, transversal
-from .hypergraph import Hypergraph, HypergraphError
+from .hypergraph import Hypergraph
 
 # ``analyze --max-t`` refuses a search over more edge subsets than this,
 # about 7 s at 0.7 us per subset.
@@ -72,20 +77,16 @@ def _emit_text(payload: dict[str, Any]) -> None:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        hg, labels = hgio.load(args.path)
-    except (OSError, hgio.ParseError, HypergraphError) as exc:
-        print(f"error: {args.path}: {exc}", file=sys.stderr)
-        return 2
+    hg, labels = hgio.load(args.path)
     max_t = min(args.max_t, hg.m - 1) if args.max_t is not None else 0
-    subsets = sum(math.comb(hg.m, t) for t in range(1, max_t + 1))
-    if subsets > MAX_T_SUBSETS:
-        print(
-            f"error: {args.path}: --max-t {args.max_t} would visit {subsets:,} edge subsets,"
-            f" more than the cap of {MAX_T_SUBSETS:,}",
-            file=sys.stderr,
-        )
-        return 2
+    subsets = 0
+    for t in range(1, max_t + 1):
+        subsets += math.comb(hg.m, t)
+        if subsets > MAX_T_SUBSETS:
+            raise ValueError(
+                f"--max-t {args.max_t} would visit at least {subsets:,} edge subsets,"
+                f" more than the cap of {MAX_T_SUBSETS:,}"
+            )
     report = transversal.classify(hg, definitional=True if args.definitional_check else None)
     injection = transversal.edge_injection(hg)
     payload: dict[str, Any] = {
@@ -182,11 +183,7 @@ def _generate_family(args: argparse.Namespace) -> tuple[Hypergraph, dict[str, An
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    try:
-        hg, params = _generate_family(args)
-    except (OSError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    hg, params = _generate_family(args)
     text = hgio.format_hypergraph(hg)
     summary = (
         f"family={args.family} "
@@ -207,17 +204,13 @@ def cmd_spectra(args: argparse.Namespace) -> int:
     from . import spectral
 
     given = {"tol": args.tol, "max_iter": args.max_iter}
-    try:
-        hg, _labels = hgio.load(args.path)
-        result = spectral.analyze_spectra(
-            hg,
-            restarts=args.restarts,
-            seed=args.seed,
-            **{name: value for name, value in given.items() if value is not None},
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {args.path}: {exc}", file=sys.stderr)
-        return 2
+    hg, _labels = hgio.load(args.path)
+    result = spectral.analyze_spectra(
+        hg,
+        restarts=args.restarts,
+        seed=args.seed,
+        **{name: value for name, value in given.items() if value is not None},
+    )
     perron = result.perron
     payload: dict[str, Any] = {
         "command": "spectra",
@@ -247,11 +240,7 @@ def cmd_spectra(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        hg, _labels = hgio.load(args.path)
-    except (OSError, hgio.ParseError, HypergraphError) as exc:
-        print(f"error: {args.path}: {exc}", file=sys.stderr)
-        return 2
+    hg, _labels = hgio.load(args.path)
     report = transversal.classify(hg)
     print("minimal non-odd-transversal" if report.is_minimal else "not minimal")
     return 0 if report.is_minimal else 1
@@ -261,8 +250,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     rows: list[dict[str, Any]] = []
     if args.name == "dreg-gcd":
         if args.k % 2 or args.k <= 2:
-            print("error: --k must be an even integer > 2", file=sys.stderr)
-            return 2
+            raise ValueError("--k must be an even integer > 2")
         for n in range(args.k + 1, args.n_max + 1):
             if n % 2 == 0:
                 continue
@@ -283,19 +271,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     elif args.name == "beta-trend":
         from . import spectral
 
-        if args.family != "cm-pow":
-            print(f"error: unknown sweep family {args.family!r}", file=sys.stderr)
-            return 2
         try:
             m_list = [int(tok) for tok in args.m_list.split(",")]
         except ValueError:
-            print(f"error: bad --m-list {args.m_list!r}", file=sys.stderr)
-            return 2
-        try:
-            members = [generators.power(generators.cycle_graph(m), args.k) for m in m_list]
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"bad --m-list {args.m_list!r}") from None
+        members = [generators.power(generators.cycle_graph(m), args.k) for m in m_list]
         for m, hg in zip(m_list, members):
             result = spectral.analyze_spectra(hg, restarts=args.restarts, seed=args.seed)
             rows.append(
@@ -309,8 +289,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             )
         columns = ["m", "n", "rho", "lambda_min_upper", "beta"]
     else:  # pragma: no cover - argparse restricts choices
-        print(f"error: unknown sweep {args.name!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown sweep {args.name!r}")
     if args.json:
         _emit_json({"command": "sweep", "name": args.name, "rows": rows})
     else:
@@ -407,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--json", action="store_true")
     p_sweep.add_argument("--k", type=int, default=4)
     p_sweep.add_argument("--n-max", type=int, default=21)
-    p_sweep.add_argument("--family", default="cm-pow")
+    p_sweep.add_argument("--family", choices=["cm-pow"], default="cm-pow")
     p_sweep.add_argument("--m-list", default="3,5,7")
     p_sweep.add_argument("--restarts", type=nonnegative_int, default=4)
     p_sweep.add_argument("--seed", type=int, default=0)
@@ -418,7 +397,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        prefix = f"{args.path}: " if "path" in args else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -136,7 +136,8 @@ def two_regular_random(
     ``k/2``-blocks, rejecting draws where some ``W_t`` meets ``V_t`` or
     where two blocks swap (``W_t = V_s`` and ``W_s = V_t``), which is
     exactly the duplicate-edge case.  Edges are ``V_t | W_t``.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  Infeasible parameters show as
+    ``max_attempts`` rejected draws, which raise ``ValueError``.
     """
     if k <= 2 or k % 2:
         raise ValueError(f"need an even k > 2; got {k}")
@@ -162,7 +163,7 @@ def two_regular_random(
             continue
         edges = [tuple(sorted(v | w)) for v, w in zip(vblocks, wblocks)]
         return build(n, edges)
-    raise RuntimeError(
+    raise ValueError(
         f"no admissible block partition after {max_attempts} attempts "
         f"(k={k}, m={m} may be infeasible)"
     )

@@ -13,7 +13,8 @@ the unit k-norm sphere, warm-started from sign-flip vectors built out of
 odd bipartitions of single-edge deletions.  Any feasible point is a valid
 upper bound, so the estimates certify the closed-form bound checks; the
 exact minimum is not claimed.  :func:`analyze_spectra` computes all of
-these quantities in one pass per hypergraph.
+these quantities in one pass per hypergraph; :func:`lambda_min_upper` and
+:func:`bound_report` are checked reads of its report.
 """
 
 from __future__ import annotations
@@ -163,17 +164,16 @@ def flip_vector(
         A y^k = -A x^k + 2k * prod_{v in e} x_v,
 
     because the deleted edge meets the flipped side in an even number of
-    vertices (checked).  Returns ``(y, A y^k)``.
+    vertices (checked).  Returns ``(y, A y^k)``; minimality implies even k.
     """
     op = _Tensor.of(hg)
-    if op.k % 2:
-        raise ValueError("flip construction needs even uniformity")
+    x = _check_vector(hg, perron.vector)
     if not 0 <= edge_index < hg.m:
         raise ValueError(f"edge index {edge_index} out of range")
     report = transversal.classify(hg)
     if not report.is_minimal:
         raise ValueError("flip construction applies to minimal hypergraphs only")
-    y = _flip_starts(hg, perron.vector, report)[edge_index]
+    y = _flip_starts(hg, x, report)[edge_index]
     return y, op.rayleigh(y)
 
 
@@ -262,43 +262,21 @@ def _least_value(
     return float(best_value), best_x
 
 
-def lambda_min_upper(
-    hg: Hypergraph,
-    restarts: int = 8,
-    seed: int = 0,
-) -> tuple[float, np.ndarray]:
-    """A certified upper bound on the least H-eigenvalue (even k only).
-
-    Minimizes ``A x^k`` over the unit k-norm sphere from several starts:
-    sign-flip vectors built from odd bipartitions (of every single-edge
-    deletion when the hypergraph is minimal, or of the hypergraph itself
-    when it is odd-transversal) plus seeded random starts.  Every returned
-    value is attained by a feasible point, hence a true upper bound; it
-    also can never drop below ``-rho`` (up to bracket error).
-    """
-    op = _Tensor.of(hg)
-    if op.k % 2:
-        raise ValueError("the least H-eigenvalue estimate needs even uniformity")
-    if not hg.is_connected():
-        raise ValueError("the estimate requires a connected hypergraph")
-    starts = _flip_starts(hg, spectral_radius(hg).vector, transversal.classify(hg))
-    return _least_value(op, starts, restarts, seed)
-
-
 @dataclass(frozen=True)
 class SpectraReport:
     """The adjacency-tensor quantities of one connected uniform hypergraph.
 
-    ``lambda_min_upper``, ``alpha`` and ``beta`` need even uniformity; the
-    bounds and flip values also need a minimal hypergraph.  Every value
-    derived from the Perron vector is None when the power iteration did not
-    converge.
+    ``lambda_min_upper``, the point ``lambda_min_point`` attaining it, ``alpha``
+    and ``beta`` need even uniformity; the bounds and flip values also need a
+    minimal hypergraph.  Every value derived from the Perron vector is None
+    when the power iteration did not converge.
     """
 
     k: int
     perron: PerronResult
     classification: transversal.ClassificationReport
     lambda_min_upper: float | None = None
+    lambda_min_point: np.ndarray | None = None
     alpha: float | None = None
     beta: float | None = None
     bound1: float | None = None
@@ -343,10 +321,10 @@ def analyze_spectra(
         return SpectraReport(k, perron, report)
     x, rho = perron.vector, perron.rho
     starts = _flip_starts(hg, x, report)
-    lam, _ = _least_value(op, starts, restarts, seed)
+    lam, point = _least_value(op, starts, restarts, seed)
     alpha, beta = rho + lam, -lam / rho
     if not report.is_minimal:
-        return SpectraReport(k, perron, report, lam, alpha, beta)
+        return SpectraReport(k, perron, report, lam, point, alpha, beta)
 
     weights = op.products(x)
     values = [op.rayleigh(y) for y in starts]
@@ -365,19 +343,33 @@ def analyze_spectra(
             f"bound1={bound1!r} bound2={bound2!r}"
         )
     flip_min = values[int(np.argmin(weights))]
-    return SpectraReport(k, perron, report, lam, alpha, beta, bound1, bound2, flip_min, flip_error)
+    return SpectraReport(
+        k, perron, report, lam, point, alpha, beta, bound1, bound2, flip_min, flip_error
+    )
+
+
+def lambda_min_upper(hg: Hypergraph, restarts: int = 8, seed: int = 0) -> tuple[float, np.ndarray]:
+    """A certified upper bound on the least H-eigenvalue and the point attaining it.
+
+    The ``lambda_min_upper`` and ``lambda_min_point`` of :func:`analyze_spectra`
+    at the default tolerance: a feasible value, hence a true upper bound, and
+    never below ``-rho`` (up to bracket error).  Odd uniformity, or a power
+    iteration that did not converge, raises ``ValueError``.
+    """
+    spectra = analyze_spectra(hg, restarts=restarts, seed=seed)
+    if spectra.lambda_min_upper is None:
+        raise ValueError("the estimate needs even uniformity and a converged power iteration")
+    return spectra.lambda_min_upper, spectra.lambda_min_point
 
 
 def bound_report(hg: Hypergraph, restarts: int = 8, seed: int = 0) -> SpectraReport:
-    """The :func:`analyze_spectra` report of a minimal hypergraph of even uniformity.
+    """The :func:`analyze_spectra` report of a minimal hypergraph.
 
     It is computed at the default tolerance, including the consistency
     checks, so every bound and estimate in it is set.  Input that is not
-    minimal of even uniformity raises ``ValueError``, and a power iteration
-    that does not converge raises ``RuntimeError``.
+    minimal (odd-uniform input included) raises ``ValueError``, and a power
+    iteration that does not converge raises ``RuntimeError``.
     """
-    if _Tensor.of(hg).k % 2:
-        raise ValueError("bound report needs even uniformity")
     spectra = analyze_spectra(hg, restarts=restarts, seed=seed)
     if not spectra.classification.is_minimal:
         raise ValueError("bound report applies to minimal hypergraphs only")

@@ -5,13 +5,11 @@ prints a single ``[acceptance] <name>: PASS|FAIL`` line on the terminal
 (bypassing capture) before asserting.
 """
 
-import itertools
 import math
 import random
 import time
 
 import numpy as np
-import pytest
 
 from oracles import (
     brute_odd_transversals,

@@ -9,7 +9,16 @@ from pathlib import Path
 import pytest
 
 import oddtrans
-from oddtrans import Hypergraph, classify, fixtures, gf2, parse_hypergraph, spectral, transversal
+from oddtrans import (
+    Hypergraph,
+    InvariantError,
+    classify,
+    fixtures,
+    gf2,
+    parse_hypergraph,
+    spectral,
+    transversal,
+)
 from oddtrans import cli
 from oddtrans.cli import main
 
@@ -131,7 +140,8 @@ def test_analyze_refuses_an_intersection_search_over_the_cap(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", path, "--json", "--max-t", "4")
     assert code == 2
     assert out == ""
-    assert "--max-t 4 would visit 1,072,073,901 edge subsets, more than the cap of 10,000,000" in err
+    # The count stops at t = 3: 401 + 80,200 + 10,666,600 subsets.
+    assert "--max-t 4 would visit at least 10,747,201 edge subsets, more than the cap of" in err
 
 
 def test_analyze_caps_the_intersection_search(capsys, monkeypatch):
@@ -143,7 +153,18 @@ def test_analyze_caps_the_intersection_search(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_T_SUBSETS", 5)
     code, out, err = run(capsys, "analyze", path, "--json", "--max-t", "5")
     assert (code, out) == (2, "")
-    assert "--max-t 5 would visit 6 edge subsets, more than the cap of 5" in err
+    assert "--max-t 5 would visit at least 6 edge subsets, more than the cap of 5" in err
+
+
+def test_analyze_refuses_a_huge_intersection_search_without_counting_it(capsys, tmp_path):
+    path = tmp_path / "path.hg"  # m = 15,000: the full count has over 4,300 digits
+    path.write_text("".join(f"{v} {v + 1}\n" for v in range(15_000)))
+    code, out, err = run(capsys, "analyze", path, "--max-t", "15000")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {path}: --max-t 15000 would visit at least 112,507,500 edge subsets,"
+        " more than the cap of 10,000,000\n"
+    )
 
 
 # ---------------------------------------------------------------- generate
@@ -208,6 +229,29 @@ def test_generate_rejects_bad_parameters(capsys):
     assert "odd prime" in err
     code, _, err = run(capsys, "generate", "fixture", "--name", "nope")
     assert code == 2
+    code, out, err = run(capsys, "generate", "tworeg", "--k", "4", "--m", "1", "--seed", "0")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: no admissible block partition after 10000 attempts"
+        " (k=4, m=1 may be infeasible)\n"
+    )
+
+
+def test_generate_into_a_missing_directory_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "x.hg"
+    code, out, err = run(capsys, "generate", "cayley", "--n", "7", "--k", "4", "--out", out_path)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and str(out_path) in err and "Traceback" not in err
+
+
+def test_invariant_errors_propagate_out_of_main(capsys, monkeypatch):
+    def broken(q):
+        raise InvariantError("points 0 and 1 do not lie on exactly one line")
+
+    monkeypatch.setattr(cli.generators, "projective_plane", broken)
+    with pytest.raises(InvariantError, match="exactly one line"):
+        main(["generate", "pp", "--q", "3"])
+    assert capsys.readouterr().err == ""
 
 
 def test_generate_blowup_from_file(capsys, tmp_path):
@@ -362,6 +406,13 @@ def test_sweep_unknown_name_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["sweep", "nonsense"])
     assert info.value.code == 2
+
+
+def test_sweep_unknown_family_exits_2_through_argparse(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "beta-trend", "--family", "x"])
+    assert info.value.code == 2
+    assert "argument --family: invalid choice: 'x'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

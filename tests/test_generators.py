@@ -1,6 +1,5 @@
 import itertools
 import math
-import random
 
 import pytest
 
@@ -202,7 +201,7 @@ def test_two_regular_is_deterministic_per_seed():
 
 def test_two_regular_reports_exhausted_budget():
     # m = 2 forces the swapped-blocks pattern, which is rejected.
-    with pytest.raises(RuntimeError, match="attempts"):
+    with pytest.raises(ValueError, match="attempts"):
         two_regular_random(4, 2, 0, max_attempts=50)
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from support import bit_rows, delete_edge, random_connected_hypergraph
 
 from oddtrans import (
-    Hypergraph,
     HypergraphError,
     build,
     classify,

@@ -20,10 +20,10 @@ from oracles import (
 from support import minimal_uniform_fixtures, random_uniform_instance
 
 from oddtrans import (
+    analyze_spectra,
     bound_report,
     build,
     cayley,
-    classify,
     cycle_graph,
     fixtures,
     flip_vector,
@@ -31,6 +31,7 @@ from oddtrans import (
     power,
     projective_plane,
     simplex,
+    spectral,
     spectral_radius,
 )
 from oddtrans.spectral import SpectraReport, apply, rayleigh
@@ -194,10 +195,17 @@ def test_min_weight_flip_beats_second_bound():
 
 
 def test_flip_vector_rejects_non_minimal_hypergraphs():
-    hg = power(cycle_graph(4), 4)
-    perron = spectral_radius(hg)
-    with pytest.raises(ValueError, match="minimal"):
-        flip_vector(hg, 0, perron)
+    for hg in (power(cycle_graph(4), 4), build(3, [(0, 1, 2)])):  # odd k is never minimal
+        perron = spectral_radius(hg)
+        with pytest.raises(ValueError, match="minimal hypergraphs only"):
+            flip_vector(hg, 0, perron)
+
+
+def test_flip_vector_refuses_another_hypergraphs_perron_vector():
+    c3, c5 = power(cycle_graph(3), 4), power(cycle_graph(5), 4)
+    for hg, other in ((c3, c5), (c5, c3)):
+        with pytest.raises(ValueError, match="vector of length"):
+            flip_vector(hg, 0, spectral_radius(other))
 
 
 # ------------------------------------------------------------- lambda upper
@@ -222,6 +230,24 @@ def test_lambda_upper_rejects_odd_uniformity():
     hg = build(3, [(0, 1, 2)])
     with pytest.raises(ValueError):
         lambda_min_upper(hg)
+
+
+def test_lambda_upper_refuses_an_unconverged_iteration(monkeypatch):
+    hg = power([(0, 1), (1, 2), (2, 3)], 4)
+    radius = spectral.spectral_radius
+    monkeypatch.setattr(spectral, "spectral_radius", lambda hg, **kw: radius(hg, max_iter=3))
+    assert not spectral.spectral_radius(hg).converged
+    with pytest.raises(ValueError, match="converged power iteration"):
+        lambda_min_upper(hg)
+
+
+def test_lambda_upper_reads_the_spectra_report():
+    for name, hg in minimal_uniform_fixtures().items():
+        value, point = lambda_min_upper(hg, restarts=2, seed=5)
+        report = analyze_spectra(hg, restarts=2, seed=5)
+        assert value == report.lambda_min_upper, name
+        assert np.array_equal(point, report.lambda_min_point), name
+        assert rayleigh(hg, point) == value, name
 
 
 def test_lambda_upper_is_deterministic_for_a_seed():
@@ -267,8 +293,9 @@ def test_second_bound_factor_increases_with_edge_count():
 
 
 def test_bound_report_rejects_non_minimal_input():
-    with pytest.raises(ValueError):
-        bound_report(power(cycle_graph(4), 4))
+    for hg in (power(cycle_graph(4), 4), build(3, [(0, 1, 2)])):
+        with pytest.raises(ValueError, match="minimal hypergraphs only"):
+            bound_report(hg)
 
 
 def test_invariant_checks_survive_optimized_mode():
