@@ -6,7 +6,7 @@ classification applies to, and adjacency-tensor numerics bounding the
 least H-eigenvalue of minimal non-odd-bipartite hypergraphs.
 """
 
-from .gf2 import BitMatrix, BitVector, nullspace_dim, rank, solution_count, solve
+from .gf2 import BitMatrix, BitVector, rank, solve
 from .generators import (
     blowup,
     cayley,
@@ -21,10 +21,7 @@ from .hgio import ParseError, format_hypergraph, parse_hypergraph
 from .hypergraph import DualResult, Hypergraph, HypergraphError, InvariantError, build
 from .transversal import (
     ClassificationReport,
-    EdgeInjection,
-    brute_force_odd_transversal,
     classify,
-    count_odd_transversals,
     edge_injection,
     find_odd_transversal,
     intersection_bound_check,
@@ -66,7 +63,6 @@ __all__ = [
     "BitVector",
     "ClassificationReport",
     "DualResult",
-    "EdgeInjection",
     "Hypergraph",
     "HypergraphError",
     "InvariantError",
@@ -76,11 +72,9 @@ __all__ = [
     "analyze_spectra",
     "blowup",
     "bound_report",
-    "brute_force_odd_transversal",
     "build",
     "cayley",
     "classify",
-    "count_odd_transversals",
     "cycle_graph",
     "edge_injection",
     "find_odd_transversal",
@@ -90,14 +84,12 @@ __all__ = [
     "intersection_bound_check",
     "lambda_min_upper",
     "minimal_subset_certificate",
-    "nullspace_dim",
     "parse_hypergraph",
     "power",
     "projective_plane",
     "rank",
     "rayleigh",
     "simplex",
-    "solution_count",
     "solve",
     "spectral_radius",
     "two_regular_random",

@@ -112,7 +112,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "is_minimal": report.is_minimal,
         "minimality_method": report.minimality_method,
         "edge_injection": (
-            {str(e): labels[v] for e, v in sorted(injection.assignment.items())}
+            {str(e): labels[v] for e, v in sorted(injection.items())}
             if injection is not None
             else None
         ),
@@ -169,7 +169,7 @@ def _generate_family(args: argparse.Namespace) -> tuple[Hypergraph, dict[str, An
     elif family == "simplex":
         hg = generators.simplex(args.k)
         params = {"k": args.k}
-    elif family == "fixture":
+    else:
         catalogue = generators.fixtures()
         if args.name not in catalogue:
             raise ValueError(
@@ -177,19 +177,16 @@ def _generate_family(args: argparse.Namespace) -> tuple[Hypergraph, dict[str, An
             )
         hg = catalogue[args.name]
         params = {"name": args.name}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown family {family!r}")
     return hg, params
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     hg, params = _generate_family(args)
     text = hgio.format_hypergraph(hg)
-    summary = (
-        f"family={args.family} "
-        + " ".join(f"{k}={v}" for k, v in params.items() if v is not None)
-        + f" n={hg.n} m={hg.m} uniform={hg.is_uniform()} regular={hg.is_regular()}"
-    )
+    given = {k: v for k, v in params.items() if v is not None}
+    stats = {"n": hg.n, "m": hg.m, "uniform": hg.is_uniform(), "regular": hg.is_regular()}
+    # cayley's n and tworeg's m equal the statistic they name, so each key is printed once.
+    summary = " ".join(f"{k}={v}" for k, v in {"family": args.family, **given, **stats}.items())
     if args.out:
         Path(args.out).write_text(text)
         print(summary)
@@ -268,7 +265,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 }
             )
         columns = ["n", "gcd", "is_minimal", "rank", "rank_expected", "agrees"]
-    elif args.name == "beta-trend":
+    else:
         from . import spectral
 
         try:
@@ -288,8 +285,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 }
             )
         columns = ["m", "n", "rho", "lambda_min_upper", "beta"]
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown sweep {args.name!r}")
     if args.json:
         _emit_json({"command": "sweep", "name": args.name, "rows": rows})
     else:
@@ -374,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spectra.add_argument("--tol", type=positive_float, default=None)
     p_spectra.add_argument("--max-iter", type=nonnegative_int, default=None)
     p_spectra.add_argument("--restarts", type=nonnegative_int, default=8)
-    p_spectra.add_argument("--seed", type=int, default=0)
+    p_spectra.add_argument("--seed", type=nonnegative_int, default=0)
     p_spectra.set_defaults(func=cmd_spectra)
 
     p_check = sub.add_parser("check", help="exit 0 iff minimal non-odd-transversal")
@@ -386,10 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--json", action="store_true")
     p_sweep.add_argument("--k", type=int, default=4)
     p_sweep.add_argument("--n-max", type=int, default=21)
-    p_sweep.add_argument("--family", choices=["cm-pow"], default="cm-pow")
     p_sweep.add_argument("--m-list", default="3,5,7")
     p_sweep.add_argument("--restarts", type=nonnegative_int, default=4)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--seed", type=nonnegative_int, default=0)
     p_sweep.set_defaults(func=cmd_sweep)
 
     return parser

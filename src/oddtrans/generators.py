@@ -126,9 +126,7 @@ def projective_plane(q: int) -> Hypergraph:
     return hg
 
 
-def two_regular_random(
-    k: int, m: int, seed: int, max_attempts: int = REJECTION_BUDGET
-) -> Hypergraph:
+def two_regular_random(k: int, m: int, seed: int) -> Hypergraph:
     """A random 2-regular k-uniform hypergraph on ``k*m/2`` vertices.
 
     Fixes the first block partition ``V_t = {k/2*t, ..., k/2*(t+1)-1}`` and
@@ -137,7 +135,7 @@ def two_regular_random(
     where two blocks swap (``W_t = V_s`` and ``W_s = V_t``), which is
     exactly the duplicate-edge case.  Edges are ``V_t | W_t``.
     Deterministic for a fixed seed.  Infeasible parameters show as
-    ``max_attempts`` rejected draws, which raise ``ValueError``.
+    ``REJECTION_BUDGET`` rejected draws, which raise ``ValueError``.
     """
     if k <= 2 or k % 2:
         raise ValueError(f"need an even k > 2; got {k}")
@@ -149,7 +147,7 @@ def two_regular_random(
     vindex = {vb: t for t, vb in enumerate(vblocks)}
     rng = random.Random(seed)
     order = list(range(n))
-    for _ in range(max_attempts):
+    for _ in range(REJECTION_BUDGET):
         rng.shuffle(order)
         wblocks = [frozenset(order[half * t : half * (t + 1)]) for t in range(m)]
         if any(w & v for w, v in zip(wblocks, vblocks)):
@@ -164,7 +162,7 @@ def two_regular_random(
         edges = [tuple(sorted(v | w)) for v, w in zip(vblocks, wblocks)]
         return build(n, edges)
     raise ValueError(
-        f"no admissible block partition after {max_attempts} attempts "
+        f"no admissible block partition after {REJECTION_BUDGET} attempts "
         f"(k={k}, m={m} may be infeasible)"
     )
 

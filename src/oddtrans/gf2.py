@@ -40,20 +40,6 @@ class BitVector:
     def ones(cls, size: int) -> BitVector:
         return cls(size, (1 << size) - 1 if size else 0)
 
-    @classmethod
-    def from_support(cls, support: Iterable[int], size: int) -> BitVector:
-        bits = 0
-        for i in support:
-            if not 0 <= i < size:
-                raise ValueError(f"index {i} out of range for length {size}")
-            bits |= 1 << i
-        return cls(size, bits)
-
-    def get(self, i: int) -> int:
-        if not 0 <= i < self.size:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
     def support(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.size) if (self.bits >> i) & 1)
 
@@ -99,11 +85,6 @@ class BitMatrix:
     def from_packed(cls, packed: Iterable[int], cols: int) -> BitMatrix:
         data = tuple(packed)
         return cls(len(data), cols, data)
-
-    def get(self, r: int, c: int) -> int:
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError((r, c))
-        return (self.data[r] >> c) & 1
 
 
 class Factorization:
@@ -183,21 +164,6 @@ def matvec(m: BitMatrix, x: BitVector) -> BitVector:
 def solve(m: BitMatrix, b: BitVector) -> BitVector | None:
     """One solution of ``m @ x = b``, free variables zero, or None; see :class:`Factorization`."""
     return Factorization(m).solve(b)
-
-
-def solution_count(m: BitMatrix, b: BitVector) -> int:
-    """Exact number of solutions of ``m @ x = b`` over GF(2).
-
-    This is ``2 ** (cols - rank)`` when the system is consistent and zero
-    otherwise; the result is an exact arbitrary-precision integer.
-    """
-    f = Factorization(m)
-    return 0 if f.solve(b) is None else 1 << (m.cols - f.rank)
-
-
-def nullspace_dim(m: BitMatrix) -> int:
-    """Dimension of the solution space of ``m @ x = 0`` (cols minus rank)."""
-    return m.cols - rank(m)
 
 
 def transpose(m: BitMatrix) -> BitMatrix:

@@ -10,7 +10,6 @@ speak the caller's language.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
 
 from .hypergraph import Hypergraph, build
 
@@ -54,18 +53,12 @@ def parse_hypergraph(text: str) -> tuple[Hypergraph, tuple[str, ...]]:
     return hg, tuple(labels)
 
 
-def format_hypergraph(hg: Hypergraph, labels: Sequence[str] | None = None) -> str:
-    """Render a hypergraph in the text format.
+def format_hypergraph(hg: Hypergraph) -> str:
+    """Render a hypergraph in the text format, vertices written 1-based.
 
-    Without an explicit label map, vertices are written 1-based, matching
-    the convention of the shipped example files.
+    This matches the convention of the shipped example files.
     """
-    if labels is None:
-        labels = [str(v + 1) for v in range(hg.n)]
-    if len(labels) != hg.n:
-        raise ValueError(f"label map has {len(labels)} entries for {hg.n} vertices")
-    lines = [" ".join(labels[v] for v in e) for e in hg.edges]
-    return "\n".join(lines) + "\n"
+    return "\n".join(" ".join(str(v + 1) for v in e) for e in hg.edges) + "\n"
 
 
 def load(path: str | Path) -> tuple[Hypergraph, tuple[str, ...]]:

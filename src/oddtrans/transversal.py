@@ -5,11 +5,12 @@ vertices.  Existence, counting, and the minimal-non-odd-transversal
 classification all reduce to the incidence matrix over GF(2): a hypergraph
 has an odd transversal iff ``B x = 1`` is solvable, and a connected
 hypergraph is minimal non-odd-transversal iff its edge count is odd, every
-vertex degree is even, and the incidence rank is ``m - 1``.
+vertex degree is even, and the incidence rank is ``m - 1``.  :func:`classify`
+answers all three from one factorization; the exact count of odd
+transversals is ``classify(hg).count``.
 
-A brute-force enumerator over all vertex subsets is kept alongside as an
-independent oracle for small instances, plus the combinatorial companion
-checks: edge injections into vertices and the edge-union size bound.
+The combinatorial companion checks are here too: edge injections into
+vertices and the edge-union size bound.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from . import gf2
 from .gf2 import BitVector
 from .hypergraph import Hypergraph, InvariantError
 
-BRUTE_FORCE_MAX_VERTICES = 24
 DEFINITIONAL_CHECK_MAX_EDGES = 64
 
 
@@ -47,17 +47,6 @@ class ClassificationReport:
     _factorization: gf2.Factorization | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
-class EdgeInjection:
-    """An injective choice of one vertex from each edge."""
-
-    assignment: dict[int, int]
-
-
-def _meets_all_edges_oddly(edge_masks: tuple[int, ...], subset_mask: int) -> bool:
-    return all((mask & subset_mask).bit_count() & 1 for mask in edge_masks)
-
-
 def find_odd_transversal(hg: Hypergraph) -> tuple[int, ...] | None:
     """An odd transversal from the GF(2) solve, or None when none exists.
 
@@ -67,7 +56,7 @@ def find_odd_transversal(hg: Hypergraph) -> tuple[int, ...] | None:
     x = gf2.solve(hg.incidence(), BitVector.ones(hg.m))
     if x is None:
         return None
-    if not _meets_all_edges_oddly(hg.edge_masks(), x.bits):
+    if not all((mask & x.bits).bit_count() & 1 for mask in hg.edge_masks()):
         raise InvariantError("solver witness fails the odd-intersection check")
     return x.support()
 
@@ -94,27 +83,6 @@ def deletion_transversals(f: gf2.Factorization) -> list[tuple[int, ...] | None]:
     ones = BitVector.ones(f.matrix.rows)
     solutions = (f.solve(BitVector(ones.size, ones.bits ^ (1 << i))) for i in range(ones.size))
     return [x.support() if x is not None else None for x in solutions]
-
-
-def brute_force_odd_transversal(hg: Hypergraph) -> tuple[int, ...] | None:
-    """Exhaustive scan over all non-empty vertex subsets.
-
-    Independent of the GF(2) route on purpose; subsets are visited in
-    ascending bit-mask order (vertex ``i`` is bit ``i``), so the result is
-    deterministic.  Guarded to ``n <= 24``.
-    """
-    if hg.n > BRUTE_FORCE_MAX_VERTICES:
-        raise ValueError(f"brute force limited to {BRUTE_FORCE_MAX_VERTICES} vertices")
-    masks = hg.edge_masks()
-    for subset in range(1, 1 << hg.n):
-        if _meets_all_edges_oddly(masks, subset):
-            return tuple(v for v in range(hg.n) if (subset >> v) & 1)
-    return None
-
-
-def count_odd_transversals(hg: Hypergraph) -> int:
-    """Exact number of odd transversals, as an arbitrary-precision integer."""
-    return gf2.solution_count(hg.incidence(), BitVector.ones(hg.m))
 
 
 def classify(hg: Hypergraph, definitional: bool | None = None) -> ClassificationReport:
@@ -245,11 +213,12 @@ def _hopcroft_karp(adjacency: list[list[int]], n_right: int) -> dict[int, int]:
     return {u: v for u, v in enumerate(match_left) if v is not None}
 
 
-def edge_injection(hg: Hypergraph) -> EdgeInjection | None:
+def edge_injection(hg: Hypergraph) -> dict[int, int] | None:
     """An injection of edges into vertices with each edge mapped inside itself.
 
-    Computed as a maximum matching of the incidence bipartite graph; absent
-    when the matching cannot saturate the edge side.
+    Computed as a maximum matching of the incidence bipartite graph and
+    returned as ``{edge index: vertex}``; None when the matching cannot
+    saturate the edge side.
     """
     matching = _hopcroft_karp([list(e) for e in hg.edges], hg.n)
     if len(matching) != hg.m:
@@ -258,7 +227,7 @@ def edge_injection(hg: Hypergraph) -> EdgeInjection | None:
         raise InvariantError("the edge matching maps two edges to one vertex")
     if not all(v in hg.edges[e] for e, v in matching.items()):
         raise InvariantError("the edge matching maps an edge outside itself")
-    return EdgeInjection(matching)
+    return matching
 
 
 def intersection_bound_check(hg: Hypergraph, max_t: int) -> tuple[int, ...] | None:

@@ -3,9 +3,10 @@
 Everything here is written naively on purpose: entry-by-entry elimination
 over 0/1 lists (rank, and solves with every free variable zero),
 exhaustive enumeration over all vectors or vertex subsets, explicit
-two-colorings, one augmenting-path search per edge for matchings, the full tensor contraction summed over every index
-ordering, and per-edge product loops in plain floats.  None of it shares
-code with the package.
+two-colorings, one augmenting-path search per edge for matchings, a
+union-find over edges for components, the full tensor contraction summed
+over every index ordering, and per-edge product loops in plain floats.
+None of it shares code with the package.
 """
 
 from __future__ import annotations
@@ -126,6 +127,27 @@ def max_matching_size(edges: list[tuple[int, ...]]) -> int:
             owner[free], mate[e] = e, free
             free = previous
     return len(mate)
+
+
+def edge_components(edges: list[tuple[int, ...]]) -> int:
+    """Number of classes of edges, two edges joined when they share a vertex.
+
+    Union-find over edge indices: each vertex joins every edge that contains
+    it to the first edge that did.
+    """
+    parent = list(range(len(edges)))
+
+    def root(e: int) -> int:
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    first: dict[int, int] = {}  # vertex -> the first edge seen containing it
+    for e, edge in enumerate(edges):
+        for v in edge:
+            parent[root(e)] = root(first.setdefault(v, e))
+    return sum(1 for e in range(len(edges)) if root(e) == e)
 
 
 def is_bipartite_graph(n: int, edges: list[tuple[int, int]]) -> bool:

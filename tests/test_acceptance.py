@@ -27,7 +27,6 @@ from oddtrans import (
     build,
     cayley,
     classify,
-    count_odd_transversals,
     cycle_graph,
     edge_injection,
     find_odd_transversal,
@@ -65,7 +64,7 @@ def test_01_oracle_equivalence(capsys):
         witness = find_odd_transversal(hg)
         if (witness is not None) != bool(hits):
             failures += 1
-        if count_odd_transversals(hg) != len(hits):
+        if classify(hg).count != len(hits):
             failures += 1
     elapsed = time.perf_counter() - start
     report(
@@ -288,7 +287,7 @@ def test_11_even_edged_corollaries(capsys):
         if injection is None:
             ok = False
             details.append(f"{name}: no injection")
-        elif hg.n == hg.m and sorted(injection.assignment.values()) != list(range(hg.n)):
+        elif hg.n == hg.m and sorted(injection.values()) != list(range(hg.n)):
             ok = False
             details.append(f"{name}: not a perfect matching")
         if intersection_bound_check(hg, min(3, hg.m - 1)) is not None:

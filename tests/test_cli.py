@@ -1,5 +1,7 @@
 import json
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -24,6 +26,7 @@ from oddtrans.cli import main
 
 FIXTURE_DIR = Path(__file__).resolve().parents[1] / "fixtures"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -176,7 +179,7 @@ def test_generate_cayley_roundtrip(capsys, tmp_path):
         capsys, "generate", "cayley", "--n", "7", "--k", "4", "--out", out_path
     )
     assert code == 0
-    assert "n=7 m=7" in out
+    assert out.splitlines()[0] == "family=cayley n=7 k=4 m=7 uniform=4 regular=4"
     lines = out_path.read_text().strip().splitlines()
     assert len(lines) == 7
     hg, _ = parse_hypergraph(out_path.read_text())
@@ -263,6 +266,34 @@ def test_generate_blowup_from_file(capsys, tmp_path):
     assert code == 0
     hg, _ = parse_hypergraph(out_path.read_text())
     assert (hg.n, hg.m, hg.is_uniform()) == (12, 3, 8)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cayley", "--n", "7", "--k", "4"],
+        ["power", "--k", "4", "--cycle", "5"],
+        ["power", "--k", "4", "--graph", "triangle.hg"],
+        ["blowup", "--input", str(FIXTURE_DIR / "genexm1.hg"), "--t", "2"],
+        ["pp", "--q", "3"],
+        ["tworeg", "--k", "4", "--m", "21", "--seed", "3"],
+        ["simplex", "--k", "4"],
+        ["fixture", "--name", "genexm2"],
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_generate_summary_names_each_key_once(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "triangle.hg").write_text("1 2\n2 3\n3 1\n")
+    code, out, err = run(capsys, "generate", *argv)
+    assert code == 0
+    hg, _ = parse_hypergraph(out)
+    fields = [field.split("=", 1) for field in err.split()]
+    summary = dict(fields)
+    assert len(summary) == len(fields)
+    assert list(summary)[0] == "family" and summary["family"] == argv[0]
+    assert (summary["n"], summary["m"]) == (str(hg.n), str(hg.m))
+    assert list(summary)[-2:] == ["uniform", "regular"]
 
 
 # ----------------------------------------------------------------- spectra
@@ -385,8 +416,7 @@ def test_sweep_gcd_table(capsys):
 
 def test_sweep_beta_trend_increases(capsys):
     code, out, _ = run(
-        capsys, "sweep", "beta-trend", "--family", "cm-pow", "--k", "4",
-        "--m-list", "3,5,7", "--json",
+        capsys, "sweep", "beta-trend", "--k", "4", "--m-list", "3,5,7", "--json",
     )
     assert code == 0
     rows = json.loads(out)["rows"]
@@ -412,7 +442,7 @@ def test_sweep_unknown_family_exits_2_through_argparse(capsys):
     with pytest.raises(SystemExit) as info:
         main(["sweep", "beta-trend", "--family", "x"])
     assert info.value.code == 2
-    assert "argument --family: invalid choice: 'x'" in capsys.readouterr().err
+    assert "unrecognized arguments: --family x" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -424,8 +454,21 @@ def test_sweep_unknown_family_exits_2_through_argparse(capsys):
         (["spectra", "--restarts", "-2"], "argument --restarts: -2 is negative"),
         (["sweep", "beta-trend", "--restarts", "-2"], "argument --restarts: -2 is negative"),
         (["analyze", "--max-t", "-4"], "argument --max-t: -4 is negative"),
+        (["spectra", "--seed", "-1"], "argument --seed: -1 is negative"),
+        (["spectra", "--restarts", "0", "--seed", "-1"], "argument --seed: -1 is negative"),
+        (["sweep", "beta-trend", "--seed", "-1"], "argument --seed: -1 is negative"),
     ],
-    ids=["tol-nan", "tol-negative", "max-iter", "spectra-restarts", "sweep-restarts", "max-t"],
+    ids=[
+        "tol-nan",
+        "tol-negative",
+        "max-iter",
+        "spectra-restarts",
+        "sweep-restarts",
+        "max-t",
+        "spectra-seed",
+        "spectra-seed-without-restarts",
+        "sweep-seed",
+    ],
 )
 def test_bad_numeric_options_exit_2(capsys, argv, message):
     if argv[0] != "sweep":
@@ -519,3 +562,24 @@ def test_shipped_fixture_files_match_catalogue(capsys):
         parsed, labels = parse_hypergraph(text)
         assert parsed == hg, name
         assert labels == tuple(str(v + 1) for v in range(hg.n)), name
+
+
+# ------------------------------------------------------------------ README
+
+
+README_COMMANDS = [
+    line for line in README.read_text().splitlines() if line.startswith("oddtrans ")
+]
+
+
+def test_readme_lists_its_commands():
+    assert len(README_COMMANDS) >= 10
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_command_runs(capsys, tmp_path, monkeypatch, line):
+    shutil.copytree(FIXTURE_DIR, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *shlex.split(line, comments=True)[1:])
+    assert code == 0
+    assert out

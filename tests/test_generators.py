@@ -10,7 +10,6 @@ from oddtrans import (
     build,
     cayley,
     classify,
-    count_odd_transversals,
     cycle_graph,
     fixtures,
     power,
@@ -62,7 +61,7 @@ def test_power_of_triangle_is_the_shipped_fixture():
 
 
 def test_power_of_even_cycle_is_odd_transversal():
-    assert count_odd_transversals(power(cycle_graph(4), 4)) > 0
+    assert classify(power(cycle_graph(4), 4)).count > 0
 
 
 def test_power_of_single_edge_is_one_block_pair():
@@ -104,7 +103,7 @@ def test_power_is_odd_transversal_iff_base_graph_is_bipartite():
     # exhaustive over every connected labeled graph on up to 6 vertices
     for n, edges in connected_labeled_graphs(6):
         powered = power(edges, 4)
-        has_witness = count_odd_transversals(powered) > 0
+        has_witness = classify(powered).count > 0
         assert has_witness == is_bipartite_graph(n, edges), (n, edges)
 
 
@@ -202,7 +201,7 @@ def test_two_regular_is_deterministic_per_seed():
 def test_two_regular_reports_exhausted_budget():
     # m = 2 forces the swapped-blocks pattern, which is rejected.
     with pytest.raises(ValueError, match="attempts"):
-        two_regular_random(4, 2, 0, max_attempts=50)
+        two_regular_random(4, 2, 0)
 
 
 def test_two_regular_rejects_odd_or_small_k():

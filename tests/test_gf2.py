@@ -13,12 +13,11 @@ from oddtrans import (
     InvariantError,
     build,
     cayley,
+    classify,
     fixtures,
     gf2,
     hypergraph,
-    nullspace_dim,
     rank,
-    solution_count,
     solve,
 )
 from oddtrans.gf2 import Factorization, matvec, transpose
@@ -143,12 +142,12 @@ def test_factorization_matches_the_naive_eliminators(data):
     assert len(f.dependencies) == rows - f.rank
     for dep in f.dependencies:
         assert matvec(transpose(m), dep).bits == 0
-    x = f.solve(BitVector.from_support([i for i, v in enumerate(rhs) if v], rows))
+    x = f.solve(BitVector(rows, sum(v << i for i, v in enumerate(rhs))))
     count = brute_solution_count(bits, rhs) if rows else 1 << cols
     assert (x is None) == (count == 0)
     if x is not None:
         assert count == 1 << (cols - f.rank)
-        assert [x.get(j) for j in range(cols)] == naive_solve(bits, rhs, cols)
+        assert [(x.bits >> j) & 1 for j in range(cols)] == naive_solve(bits, rhs, cols)
 
 
 def test_invariant_error_is_one_class_defined_in_the_lowest_layer():
@@ -170,61 +169,29 @@ def test_factorization_checks_both_answers():
         f.solve(ones)
 
 
-# ------------------------------------------------------- solution_count
-
-
-def test_count_single_edge_of_size_four():
-    m = build(4, [(0, 1, 2, 3)]).incidence()
-    assert solution_count(m, BitVector.ones(1)) == 8
-    assert brute_solution_count(bit_rows(m), [1]) == 8
-
-
-def test_count_triangle_power_is_zero():
-    assert solution_count(C3.incidence(), BitVector.ones(3)) == 0
-
-
-def test_count_full_column_rank_is_one():
-    m = BitMatrix.from_bits([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
-    assert solution_count(m, BitVector(4, 0b0011)) == 1
-
-
-def test_count_matches_brute_force_enumeration():
-    rng = random.Random(11)
-    for _ in range(40):
-        rows = rng.randint(1, 8)
-        cols = rng.randint(1, 12)
-        bits = random_bits(rng, rows, cols)
-        rhs = [rng.getrandbits(1) for _ in range(rows)]
-        m = BitMatrix.from_bits(bits)
-        b = BitVector.from_support([i for i, v in enumerate(rhs) if v], rows)
-        assert solution_count(m, b) == brute_solution_count(bits, rhs)
-    # a few wide ones near the enumeration guard
-    for cols in (14, 15, 16):
-        bits = random_bits(rng, 6, cols)
-        rhs = [rng.getrandbits(1) for _ in range(6)]
-        m = BitMatrix.from_bits(bits)
-        b = BitVector.from_support([i for i, v in enumerate(rhs) if v], 6)
-        assert solution_count(m, b) == brute_solution_count(bits, rhs)
+# ------------------------------------------------------------- counting
 
 
 def test_count_is_arbitrary_precision():
-    wide = BitMatrix.from_bits([[1] * 80])
-    assert solution_count(wide, BitVector.ones(1)) == 1 << 79
+    assert classify(build(80, [tuple(range(80))])).count == 1 << 79
 
 
 # ---------------------------------------------------------- nullspace
 
 
 def test_nullspace_dim_cayley_window():
-    assert nullspace_dim(cayley(9, 6).incidence()) == 3
+    m = cayley(9, 6).incidence()
+    assert m.cols - rank(m) == 3
 
 
 def test_nullspace_dim_zero_matrix():
-    assert nullspace_dim(BitMatrix(2, 5, (0, 0))) == 5
+    m = BitMatrix(2, 5, (0, 0))
+    assert m.cols - rank(m) == 5
 
 
 def test_nullspace_dim_triangle_power():
-    assert nullspace_dim(C3.incidence()) == 4
+    m = C3.incidence()
+    assert m.cols - rank(m) == 4
 
 
 def test_nullspace_basis_spans_kernel():
@@ -233,7 +200,7 @@ def test_nullspace_basis_spans_kernel():
         bits = random_bits(rng, rng.randint(1, 8), rng.randint(1, 10))
         m = BitMatrix.from_bits(bits)
         basis = Factorization(transpose(m)).dependencies
-        assert len(basis) == nullspace_dim(m)
+        assert len(basis) == m.cols - rank(m)
         for vec in basis:
             assert matvec(m, vec).bits == 0
         # basis vectors are linearly independent

@@ -13,11 +13,9 @@ from support import (
 )
 
 from oddtrans import (
-    brute_force_odd_transversal,
     build,
     cayley,
     classify,
-    count_odd_transversals,
     cycle_graph,
     edge_injection,
     find_odd_transversal,
@@ -53,7 +51,7 @@ def test_witness_after_deleting_last_edge_of_mixed_example():
 def test_single_edge_witness_is_one_vertex():
     hg = build(4, [(0, 1, 2, 3)])
     assert find_odd_transversal(hg) == (0,)
-    assert brute_force_odd_transversal(hg) == (0,)
+    assert brute_odd_transversals(list(hg.edges), hg.n)[0] == 0b1
 
 
 def test_seven_edge_example_has_no_witness():
@@ -61,13 +59,8 @@ def test_seven_edge_example_has_no_witness():
 
 
 def test_triangle_power_has_no_witness_even_by_brute_force():
-    assert brute_force_odd_transversal(FIX["c3_pow42"]) is None
-
-
-def test_brute_force_guard():
-    hg = build(25, [tuple(range(25))])
-    with pytest.raises(ValueError, match="brute force"):
-        brute_force_odd_transversal(hg)
+    hg = FIX["c3_pow42"]
+    assert brute_odd_transversals(list(hg.edges), hg.n) == []
 
 
 def test_solver_and_brute_force_agree_on_random_hypergraphs():
@@ -77,7 +70,7 @@ def test_solver_and_brute_force_agree_on_random_hypergraphs():
         hits = brute_odd_transversals(list(hg.edges), hg.n)
         witness = find_odd_transversal(hg)
         assert (witness is not None) == bool(hits)
-        assert count_odd_transversals(hg) == len(hits)
+        assert classify(hg).count == len(hits)
         if witness is not None:
             assert meets_all_oddly(hg, witness)
 
@@ -150,15 +143,15 @@ def test_deletion_transversals_require_no_odd_transversal():
 
 
 def test_count_single_edge():
-    assert count_odd_transversals(build(4, [(0, 1, 2, 3)])) == 8
+    assert classify(build(4, [(0, 1, 2, 3)])).count == 8
 
 
 def test_count_mixed_example_is_zero():
-    assert count_odd_transversals(FIX["genexm1"]) == 0
+    assert classify(FIX["genexm1"]).count == 0
 
 
 def test_count_triangle_power_minus_edge():
-    assert count_odd_transversals(delete_edge(FIX["c3_pow42"], 0)) == 16
+    assert classify(delete_edge(FIX["c3_pow42"], 0)).count == 16
 
 
 # ----------------------------------------------------------------- classify
@@ -281,8 +274,8 @@ def test_certificate_is_a_proper_nonempty_zero_sum_edge_set(seed):
 def test_injection_exists_for_triangle_power():
     inj = edge_injection(FIX["c3_pow42"])
     assert inj is not None
-    assert len(set(inj.assignment.values())) == 3
-    for e, v in inj.assignment.items():
+    assert len(set(inj.values())) == 3
+    for e, v in inj.items():
         assert v in FIX["c3_pow42"].edges[e]
 
 
@@ -290,7 +283,7 @@ def test_square_example_has_perfect_matching():
     hg = FIX["square_6u6r"]
     inj = edge_injection(hg)
     assert inj is not None
-    assert sorted(inj.assignment.values()) == list(range(hg.n))
+    assert sorted(inj.values()) == list(range(hg.n))
 
 
 def test_injection_absent_when_edges_outnumber_vertices():
@@ -325,8 +318,8 @@ def test_injection_along_a_long_path():
     edges = [(i, i + 1) for i in range(length)] + [(0,)]
     injection = edge_injection(build(length + 1, edges))
     assert injection is not None
-    assert injection.assignment == {**{i: i + 1 for i in range(length)}, length: 0}
-    assert len(injection.assignment) == max_matching_size(edges)
+    assert injection == {**{i: i + 1 for i in range(length)}, length: 0}
+    assert len(injection) == max_matching_size(edges)
 
 
 # ------------------------------------------------------ intersection bound
