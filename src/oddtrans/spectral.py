@@ -10,7 +10,9 @@ edge.  The spectral radius of a connected hypergraph is computed by a
 shifted power iteration with certified lower/upper brackets; the least
 H-eigenvalue is *estimated from above* by projected gradient descent on
 the unit k-norm sphere, warm-started from sign-flip vectors built out of
-odd bipartitions of single-edge deletions.  Any feasible point is a valid
+odd bipartitions of single-edge deletions.  The starts descend in lockstep
+as the rows of one array, each row repeating a lone descent's arithmetic
+bit for bit, so batching changes no result.  Any feasible point is a valid
 upper bound, so the estimates certify the closed-form bound checks; the
 exact minimum is not claimed.  :func:`analyze_spectra` computes all of
 these quantities in one pass per hypergraph; :func:`lambda_min_upper` and
@@ -20,7 +22,7 @@ these quantities in one pass per hypergraph; :func:`lambda_min_upper` and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +33,7 @@ DEFAULT_BRACKET_TOL = 1e-10
 DEFAULT_REPORT_TOL = 1e-8
 DEFAULT_MAX_ITER = 100_000
 _PGD_MAX_STEPS = 400
+_BLOCK_ELEMENTS = 32768  # a descent block holds max(1, this // n) starts
 _ARMIJO_C = 1e-4
 
 
@@ -41,19 +44,26 @@ def _check_vector(hg: Hypergraph, x: np.ndarray) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _Tensor:
     """The adjacency tensor of a k-uniform hypergraph, compiled once.
 
-    ``edges`` is the (m, k) array of edge vertices.  The kernels multiply
+    ``edges`` is the (m, k) array of edge vertices.  The kernels take one
+    vector or a stack of them (shape (S, n)), row by row.  They multiply
     and add in edge order, one factor at a time, exactly as a per-edge loop
     would: ``cumprod``, ``bincount`` and ``add.accumulate`` are sequential,
     whereas ``np.sum`` and ``np.prod`` along an axis may reorder.
+    ``index`` holds the ``bincount`` indices of the widest stack applied so
+    far; a narrower stack uses a prefix of it.
     """
 
     n: int
     k: int
     edges: np.ndarray
+    index: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.index = self.edges.ravel()
 
     @classmethod
     def of(cls, hg: Hypergraph) -> _Tensor:
@@ -63,21 +73,30 @@ class _Tensor:
         return cls(hg.n, k, np.array(hg.edges, dtype=np.intp))
 
     def products(self, x: np.ndarray) -> np.ndarray:
-        """``prod_{v in e} x_v`` for every edge e."""
-        return functools.reduce(np.multiply, x[self.edges].T)
+        """``prod_{v in e} x_v`` for every edge e (and every row of a stack)."""
+        return functools.reduce(np.multiply, x[..., self.edges.T].swapaxes(0, -2))
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """``A x^{k-1}`` by prefix/suffix products, never dividing by x_v (it may be 0)."""
-        vals = x[self.edges]
+        """``A x^{k-1}`` by prefix/suffix products, never dividing by x_v (it may be 0).
+
+        One ``bincount`` serves every row: row r's entries go to r * n + v.
+        """
+        vals = x[..., self.edges]
         before = np.ones_like(vals)
         after = np.ones_like(vals)
-        np.cumprod(vals[:, :-1], axis=1, out=before[:, 1:])
-        np.cumprod(vals[:, :0:-1], axis=1, out=after[:, -2::-1])
-        return np.bincount(self.edges.ravel(), (before * after).ravel(), self.n)
+        np.cumprod(vals[..., :-1], axis=-1, out=before[..., 1:])
+        np.cumprod(vals[..., :0:-1], axis=-1, out=after[..., -2::-1])
+        rows = x.size // self.n
+        entries = rows * self.edges.size
+        if self.index.size < entries:
+            self.index = np.add.outer(np.arange(rows) * self.n, self.edges.ravel()).ravel()
+        out = np.bincount(self.index[:entries], (before * after).ravel(), x.size)
+        return out.reshape(x.shape)
 
-    def rayleigh(self, x: np.ndarray) -> float:
-        """``A x^k``; the ``+ 0.0`` gives a loop's +0.0 when every product is -0.0."""
-        return float(self.k * (np.add.accumulate(self.products(x))[-1] + 0.0))
+    def rayleigh(self, x: np.ndarray) -> float | np.ndarray:
+        """``A x^k`` (per row); the ``+ 0.0`` gives a loop's +0.0 when every product is -0.0."""
+        value = self.k * (np.add.accumulate(self.products(x), axis=-1)[..., -1] + 0.0)
+        return float(value) if x.ndim == 1 else value
 
 
 def apply(hg: Hypergraph, x: np.ndarray) -> np.ndarray:
@@ -177,42 +196,64 @@ def flip_vector(
     return y, op.rayleigh(y)
 
 
-def _project(x: np.ndarray, k: int) -> np.ndarray | None:
-    nk = _knorm(x, k)
-    return None if nk < 1e-30 else x / nk
+def _knorms(rows: np.ndarray, k: int) -> np.ndarray:
+    """The k-norm of every row: summed as ``np.sum`` sums one row, rooted as a Python float."""
+    return np.array([s ** (1.0 / k) for s in np.add.reduce(np.abs(rows) ** k, axis=1).tolist()])
 
 
-def _descend(op: _Tensor, start: np.ndarray) -> tuple[float, np.ndarray]:
-    """Projected gradient descent for ``A x^k`` on the unit k-norm sphere.
+def _descend(op: _Tensor, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projected gradient descent for ``A x^k`` on the unit k-norm sphere, per row.
 
     The gradient of ``A x^k`` is ``k * A x^{k-1}``; steps are chosen by
     halving backtracking under an Armijo decrease test, projecting back to
-    the sphere by renormalization.  Monotone, so the result never exceeds
-    the start value.
+    the sphere by renormalization.  Monotone, so no value exceeds its start.
+
+    The rows of ``starts`` descend in lockstep: every round, each live row
+    takes a gradient if it just moved, then tries one candidate step.  Each
+    row repeats a lone descent's operations in the same order (``grad @
+    grad`` stays a 1-D dot), so its value and point are the same bit for
+    bit.  Live rows stay compacted; finished ones leave only in rounds
+    where some row finishes.  Returns the values and points, row by row.
     """
-    x = _project(start, op.k)
-    if x is None:
+    k = op.k
+    norms = _knorms(starts, k)
+    if np.any(norms < 1e-30):
         raise ValueError("cannot start descent from the zero vector")
+    x = starts / norms[:, None]
     value = op.rayleigh(x)
-    for _ in range(_PGD_MAX_STEPS):
-        grad = op.k * op.apply(x)
-        gnorm2 = float(grad @ grad)
-        if gnorm2 < 1e-28:
-            break
-        step = 1.0 / (1.0 + float(np.abs(grad).max()))
-        improved = False
-        while step > 1e-18:
-            cand = _project(x - step * grad, op.k)
-            if cand is not None:
-                cand_value = op.rayleigh(cand)
-                if cand_value < value - _ARMIJO_C * step * gnorm2:
-                    x, value = cand, cand_value
-                    improved = True
-                    break
-            step *= 0.5
-        if not improved:
-            break
-    return value, x
+    values, points = np.empty(len(x)), np.empty_like(x)
+    live = np.arange(len(x))  # the start row of every live row
+    moved = np.ones(len(x), dtype=bool)  # rows whose next gradient is due
+    taken = np.zeros(len(x), dtype=int)  # gradients taken per row
+    grad, gnorm2, step = np.empty_like(x), np.empty(len(x)), np.empty(len(x))
+    while True:
+        if moved.any():
+            rows = slice(None) if moved.all() else np.flatnonzero(moved)
+            g = k * op.apply(x[rows])
+            grad[rows], gnorm2[rows] = g, [row @ row for row in g]
+            taken[rows] += 1
+            # A row past its last gradient, or at a zero gradient, stops here.
+            step[rows] = np.where(
+                (taken[rows] > _PGD_MAX_STEPS) | (gnorm2[rows] < 1e-28),
+                0.0,
+                1.0 / (1.0 + np.abs(g).max(axis=1)),
+            )
+        done = ~(step > 1e-18)
+        if done.any():
+            values[live[done]], points[live[done]] = value[done], x[done]
+            keep = ~done
+            if not keep.any():
+                return values, points
+            x, value, grad, gnorm2 = x[keep], value[keep], grad[keep], gnorm2[keep]
+            step, live, taken = step[keep], live[keep], taken[keep]
+        cand = x - step[:, None] * grad
+        norms = _knorms(cand, k)
+        cand /= np.maximum(norms, 1e-30)[:, None]
+        cand_value = op.rayleigh(cand)
+        moved = (norms >= 1e-30) & (cand_value < value - _ARMIJO_C * step * gnorm2)
+        np.copyto(x, cand, where=moved[:, None])
+        np.copyto(value, cand_value, where=moved)
+        step *= 0.5
 
 
 def _flip_starts(
@@ -244,22 +285,31 @@ def _least_value(
 ) -> tuple[float, np.ndarray]:
     """Descend from ``starts`` plus ``restarts`` seeded random starts; keep the least.
 
-    Each random start has its own deterministic sub-seed, so the reported
-    minimum does not depend on evaluation order.
+    The starts descend in lockstep (see :func:`_descend`), in blocks of
+    ``max(1, _BLOCK_ELEMENTS // n)`` rows, so a block's arrays stay in
+    cache.  Each random start has its own deterministic sub-seed and is
+    drawn with its block, so the result depends neither on the evaluation
+    order nor on the block size.  The least value wins, and on a tie the
+    first start reaching it.
     """
-    starts = starts + [
-        np.random.default_rng((seed, i)).standard_normal(op.n) for i in range(restarts)
-    ]
-    if not starts:
-        starts.append(np.ones(op.n))
+    count = len(starts) + restarts
+    if not count:
+        starts, count = [np.ones(op.n)], 1
+    rows = max(1, _BLOCK_ELEMENTS // op.n)
     best_value, best_x = np.inf, None
-    for start in starts:
-        value, x = _descend(op, start)
-        if value < best_value:
-            best_value, best_x = value, x
+    for first in range(0, count, rows):
+        block = [
+            starts[i] if i < len(starts)
+            else np.random.default_rng((seed, i - len(starts))).standard_normal(op.n)
+            for i in range(first, min(first + rows, count))
+        ]
+        values, points = _descend(op, np.array(block, dtype=float))
+        for value, x in zip(values.tolist(), points):
+            if value < best_value:
+                best_value, best_x = value, x
     if best_x is None:
         raise InvariantError("no descent start reached a finite value")
-    return float(best_value), best_x
+    return best_value, best_x.copy()
 
 
 @dataclass(frozen=True)
@@ -327,7 +377,7 @@ def analyze_spectra(
         return SpectraReport(k, perron, report, lam, point, alpha, beta)
 
     weights = op.products(x)
-    values = [op.rayleigh(y) for y in starts]
+    values = op.rayleigh(np.array(starts))
     base = op.rayleigh(x)
     flip_error = np.abs(np.subtract(values, -base + 2.0 * k * weights)).max()
     bound1 = -rho + 2.0 * k / hg.n ** (1.0 / k)
@@ -342,7 +392,7 @@ def analyze_spectra(
             f"inconsistent estimates: rho={rho!r} lambda_min_upper={lam!r} "
             f"bound1={bound1!r} bound2={bound2!r}"
         )
-    flip_min = values[int(np.argmin(weights))]
+    flip_min = float(values[int(np.argmin(weights))])
     return SpectraReport(
         k, perron, report, lam, point, alpha, beta, bound1, bound2, flip_min, flip_error
     )

@@ -5,14 +5,19 @@ over 0/1 lists (rank, and solves with every free variable zero),
 exhaustive enumeration over all vectors or vertex subsets, explicit
 two-colorings, one augmenting-path search per edge for matchings, a
 union-find over edges for components, the full tensor contraction summed
-over every index ordering, and per-edge product loops in plain floats.
-None of it shares code with the package.
+over every index ordering, per-edge product loops in plain floats, and
+one projected descent per start on those loops.  None of it shares code
+with the package: the only import beyond the standard library is numpy,
+which the descent uses for its k-norm and for ``grad @ grad``, because
+the package must match the order in which those sum.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 
 def naive_rank(bits: list[list[int]]) -> int:
@@ -238,3 +243,45 @@ def edgewise_rayleigh(edges: list[tuple[int, ...]], k: int, x: list[float]) -> f
             prod *= x[v]
         total += prod
     return k * total
+
+
+def descend_naive(
+    edges: list[tuple[int, ...]], n: int, k: int, start: list[float], max_steps: int = 400
+) -> tuple[float, list[float]]:
+    """Projected gradient descent for A x^k on the unit k-norm sphere, from one start.
+
+    Each gradient ``k * A x^{k-1}`` takes the step ``1 / (1 + max |grad|)``,
+    halved until the candidate, renormalized to unit k-norm, passes the
+    Armijo test ``value < value(x) - 1e-4 * step * |grad|^2``.  The descent
+    ends after ``max_steps`` gradients, at a gradient with ``|grad|^2 <
+    1e-28``, or when the step falls to 1e-18 (the ladder runs out).  Every
+    step is plain float arithmetic, coordinate by coordinate; numpy only
+    takes the k-norm (its power and pairwise sum) and ``|grad|^2`` (a BLAS
+    dot).  Returns the final value and point.
+    """
+
+    def project(y: list[float]) -> list[float] | None:
+        norm = float(np.sum(np.abs(np.array(y)) ** k) ** (1.0 / k))
+        return None if norm < 1e-30 else [v / norm for v in y]
+
+    x = project(start)
+    if x is None:
+        raise ValueError("cannot start descent from the zero vector")
+    value = edgewise_rayleigh(edges, k, x)
+    for _ in range(max_steps):
+        grad = [k * g for g in edgewise_apply(edges, n, x)]
+        gnorm2 = float(np.dot(grad, grad))
+        if gnorm2 < 1e-28:
+            break
+        step = 1.0 / (1.0 + max(abs(g) for g in grad))
+        while step > 1e-18:
+            cand = project([v - step * g for v, g in zip(x, grad)])
+            if cand is not None:
+                cand_value = edgewise_rayleigh(edges, k, cand)
+                if cand_value < value - 1e-4 * step * gnorm2:
+                    x, value = cand, cand_value
+                    break
+            step *= 0.5
+        else:
+            break
+    return value, x

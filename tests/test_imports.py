@@ -1,9 +1,10 @@
-"""Every imported name in the package and the tests is used.
+"""Every imported name in the package and the tests is used, and the oracles stay apart.
 
 No linter runs with the suite, so this stdlib check stands in for the
 unused-import rule (F401).  A name counts as used when the module reads
 it, lists it in ``__all__``, or imports it on a line marked
-``# noqa: F401``.
+``# noqa: F401``.  The oracles in ``tests/oracles.py`` check the package,
+so they may import nothing from it.
 """
 
 import ast
@@ -45,3 +46,33 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     text = "import os\nimport sys  # noqa: F401\nfrom typing import Any, List\n__all__ = ['List']\n"
     assert unused_imports(text) == ["line 1: os", "line 3: Any"]
+
+
+def package_imports(text: str) -> list[str]:
+    """The import statements that reach the ``oddtrans`` package."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {m}" for m in modules if m.split(".")[0] == "oddtrans"]
+    return found
+
+
+def test_the_oracles_import_nothing_from_the_package():
+    assert package_imports((ROOT / "tests" / "oracles.py").read_text()) == []
+
+
+def test_the_check_sees_a_package_import():
+    text = (
+        "import math\nfrom oddtrans import x\nimport numpy, oddtrans.spectral as s\n"
+        "def f():\n    from oddtrans.gf2 import rank\nfrom oddtransx import y\n"
+    )
+    assert package_imports(text) == [
+        "line 2: oddtrans",
+        "line 3: oddtrans.spectral",
+        "line 5: oddtrans.gf2",
+    ]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    descend_naive,
     edgewise_apply,
     edgewise_rayleigh,
     tensor_apply_naive,
@@ -104,6 +105,16 @@ def test_kernels_equal_edgewise_loops_bit_for_bit(data):
     got, want = rayleigh(hg, np.array(x)), edgewise_rayleigh(list(hg.edges), hg.is_uniform(), x)
     assert got == want
     assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    # A stack of S rows gives every row its 1-D result, sign bits of -0.0 included.
+    op = spectral._Tensor.of(hg)
+    more = [
+        [rng.choice([0.0, -0.0, 1.0, -1.0, rng.uniform(-4.0, 4.0)]) for _ in x]
+        for _ in range(rng.randrange(4))
+    ]
+    stack = np.array([x, *more])
+    for kernel in (op.apply, op.products, op.rayleigh):
+        rows = np.array([kernel(row) for row in stack])
+        assert np.asarray(kernel(stack)).tobytes() == rows.tobytes()
 
 
 def test_rayleigh_is_inner_product_with_apply():
@@ -254,6 +265,54 @@ def test_lambda_upper_is_deterministic_for_a_seed():
     a, _ = lambda_min_upper(C3, restarts=3, seed=9)
     b, _ = lambda_min_upper(C3, restarts=3, seed=9)
     assert a == b
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_lockstep_descent_equals_the_per_start_oracle_bit_for_bit(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    hg = random_uniform_instance(rng, max_n=10, max_m=10, uniformities=(2, 3, 4, 6))
+    n, k = hg.n, hg.is_uniform()
+    nprng = np.random.default_rng(rng.randrange(2**32))
+    starts = [nprng.standard_normal(n) for _ in range(data.draw(st.integers(1, 3)))]
+    starts.append(starts[data.draw(st.integers(0, len(starts) - 1))].copy())  # a duplicate
+    # At even k a negated start descends to the negated point at the same value: a tie.
+    starts.append(-starts[data.draw(st.integers(0, len(starts) - 1))])
+    one_hot = np.zeros(n)
+    one_hot[data.draw(st.integers(0, n - 1))] = 1.0
+    starts.insert(data.draw(st.integers(0, len(starts))), one_hot)  # at k >= 3 its gradient is 0
+    restarts, seed = data.draw(st.integers(0, 2)), data.draw(st.integers(0, 3))
+    rows = data.draw(st.sampled_from([1, 2, 3, None]))  # None: the default block size
+    max_steps = data.draw(st.sampled_from([2, 400]))
+    drawn = [np.random.default_rng((seed, i)).standard_normal(n) for i in range(restarts)]
+    everything = starts + drawn
+    # Descents that stop before max_steps at a nonzero gradient end when the ladder runs out.
+    want = [descend_naive(list(hg.edges), n, k, list(x), max_steps) for x in everything]
+
+    blocks = []
+    descend = spectral._descend
+
+    def recording(op, block):
+        blocks.append(descend(op, block))
+        return blocks[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "_descend", recording)
+        patch.setattr(spectral, "_PGD_MAX_STEPS", max_steps)
+        if rows is not None:
+            patch.setattr(spectral, "_BLOCK_ELEMENTS", rows * n)
+        value, point = spectral._least_value(spectral._Tensor.of(hg), starts, restarts, seed)
+
+    assert len(blocks) == (1 if rows is None else -(-len(everything) // rows))
+    got_values = np.concatenate([values for values, _ in blocks])
+    got_points = np.concatenate([points for _, points in blocks])
+    for (want_value, want_point), got_value, got_point in zip(
+        want, got_values, got_points, strict=True
+    ):
+        assert np.float64(want_value).tobytes() == got_value.tobytes()
+        assert np.array(want_point).tobytes() == got_point.tobytes()
+    least_value, least_point = min(want, key=lambda pair: pair[0])  # min keeps the first on ties
+    assert (value, point.tobytes()) == (least_value, np.array(least_point).tobytes())
 
 
 # ------------------------------------------------------------- bound report
