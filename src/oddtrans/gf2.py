@@ -8,8 +8,10 @@ values; nothing here mutates its inputs.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class InvariantError(RuntimeError):
@@ -65,23 +67,6 @@ class BitMatrix:
                 raise ValueError(f"row {i} has bits set beyond column {self.cols - 1}")
 
     @classmethod
-    def from_bits(cls, bits: Sequence[Sequence[int]], cols: int | None = None) -> BitMatrix:
-        """Build from explicit 0/1 entries, one inner sequence per row."""
-        if cols is None:
-            cols = len(bits[0]) if bits else 0
-        packed = []
-        for entries in bits:
-            if len(entries) != cols:
-                raise ValueError("ragged rows")
-            row = 0
-            for j, bit in enumerate(entries):
-                if bit not in (0, 1):
-                    raise ValueError(f"entry {bit!r} is not a bit")
-                row |= bit << j
-            packed.append(row)
-        return cls(len(packed), cols, tuple(packed))
-
-    @classmethod
     def from_packed(cls, packed: Iterable[int], cols: int) -> BitMatrix:
         data = tuple(packed)
         return cls(len(data), cols, data)
@@ -124,16 +109,17 @@ class Factorization:
     def solve(self, b: BitVector) -> BitVector | None:
         """One solution of ``matrix @ x = b``, or None when inconsistent.
 
-        None when some dependency meets ``b`` oddly; otherwise every free
-        variable is zero and the pivots are back-substituted from the
-        highest.  Both answers are checked (``InvariantError`` on failure).
+        None when some dependency meets ``b`` oddly (the rows it names must
+        XOR to zero); otherwise every free variable is zero and the pivots
+        are back-substituted from the highest.  Both answers are checked
+        (``InvariantError`` on failure).
         """
         m = self.matrix
         if b.size != m.rows:
             raise ValueError(f"right-hand side length {b.size} != row count {m.rows}")
         for dep in self.dependencies:
             if (dep.bits & b.bits).bit_count() & 1:
-                if matvec(transpose(m), dep).bits:
+                if functools.reduce(operator.xor, (m.data[i] for i in dep.support()), 0):
                     raise InvariantError("a recorded dependency does not sum to zero")
                 return None
         bits = 0
@@ -165,12 +151,3 @@ def solve(m: BitMatrix, b: BitVector) -> BitVector | None:
     """One solution of ``m @ x = b``, free variables zero, or None; see :class:`Factorization`."""
     return Factorization(m).solve(b)
 
-
-def transpose(m: BitMatrix) -> BitMatrix:
-    out = [0] * m.cols
-    for i, row in enumerate(m.data):
-        while row:
-            low = row & -row
-            out[low.bit_length() - 1] |= 1 << i
-            row ^= low
-    return BitMatrix(m.cols, m.rows, tuple(out))

@@ -109,13 +109,17 @@ def rayleigh(hg: Hypergraph, x: np.ndarray) -> float:
     return _Tensor.of(hg).rayleigh(_check_vector(hg, x))
 
 
-def _knorm(x: np.ndarray, k: int) -> float:
-    return float(np.sum(np.abs(x) ** k) ** (1.0 / k))
+def _knorms(rows: np.ndarray, k: int) -> np.ndarray:
+    """The k-norm of every row: summed as ``np.sum`` sums one row, rooted as a Python float."""
+    return np.array([s ** (1.0 / k) for s in np.add.reduce(np.abs(rows) ** k, axis=1).tolist()])
 
 
 @dataclass(frozen=True)
 class PerronResult:
-    """Spectral radius estimate with its positive unit-k-norm eigenvector."""
+    """Spectral radius estimate with its positive unit-k-norm eigenvector.
+
+    The compiled tensor is kept for :func:`analyze_spectra`.
+    """
 
     rho: float
     vector: np.ndarray
@@ -123,6 +127,7 @@ class PerronResult:
     iterations: int
     converged: bool
     bracket: tuple[float, float]
+    _tensor: _Tensor | None = field(default=None, compare=False, repr=False)
 
 
 def spectral_radius(
@@ -156,12 +161,12 @@ def spectral_radius(
         hi = float(ratios.max()) - 1.0
         if hi - lo < tol:
             residual = float(np.max(np.abs(ax - hi * xk1)))
-            return PerronResult(hi, x, residual, iterations, True, (lo, hi))
+            return PerronResult(hi, x, residual, iterations, True, (lo, hi), op)
         x = y ** (1.0 / (k - 1))
-        x /= _knorm(x, k)
+        x /= _knorms(x[None], k)[0]
     ax = op.apply(x)
     residual = float(np.max(np.abs(ax - hi * x ** (k - 1))))
-    return PerronResult(hi, x, residual, iterations, False, (lo, hi))
+    return PerronResult(hi, x, residual, iterations, False, (lo, hi), op)
 
 
 def _sign_flip(x: np.ndarray, part: tuple[int, ...]) -> np.ndarray:
@@ -194,11 +199,6 @@ def flip_vector(
         raise ValueError("flip construction applies to minimal hypergraphs only")
     y = _flip_starts(hg, x, report)[edge_index]
     return y, op.rayleigh(y)
-
-
-def _knorms(rows: np.ndarray, k: int) -> np.ndarray:
-    """The k-norm of every row: summed as ``np.sum`` sums one row, rooted as a Python float."""
-    return np.array([s ** (1.0 / k) for s in np.add.reduce(np.abs(rows) ** k, axis=1).tolist()])
 
 
 def _descend(op: _Tensor, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -363,9 +363,9 @@ def analyze_spectra(
     is known only to within it; a failed check raises ``InvariantError``.
     Non-uniform or disconnected input raises ``ValueError``.
     """
-    op = _Tensor.of(hg)
-    k = op.k
     perron = spectral_radius(hg, tol=tol, max_iter=max_iter)
+    op = perron._tensor
+    k = op.k
     report = transversal.classify(hg)
     if k % 2 or not perron.converged:
         return SpectraReport(k, perron, report)

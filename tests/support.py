@@ -1,4 +1,4 @@
-"""Shared test helpers: seeded random instances and fixture groupings."""
+"""Shared test helpers: GF(2) matrices, seeded random instances and fixture groupings."""
 
 from __future__ import annotations
 
@@ -21,6 +21,23 @@ def delete_edge(hg: Hypergraph, i: int) -> Hypergraph:
 def bit_rows(matrix: BitMatrix) -> list[list[int]]:
     """The 0/1 entries of a packed GF(2) matrix, one list per row."""
     return [[(row >> j) & 1 for j in range(matrix.cols)] for row in matrix.data]
+
+
+def bit_matrix(bits: list[list[int]], cols: int | None = None) -> BitMatrix:
+    """The packed GF(2) matrix with these 0/1 entries, one list per row; inverts ``bit_rows``."""
+    if cols is None:
+        cols = len(bits[0]) if bits else 0
+    if any(len(row) != cols or not set(row) <= {0, 1} for row in bits):
+        raise ValueError("expected rows of 0/1 entries, all of the same length")
+    return BitMatrix.from_packed((sum(bit << j for j, bit in enumerate(row)) for row in bits), cols)
+
+
+def transpose(matrix: BitMatrix) -> BitMatrix:
+    """The transpose of a packed GF(2) matrix."""
+    columns = (
+        sum(((row >> j) & 1) << i for i, row in enumerate(matrix.data)) for j in range(matrix.cols)
+    )
+    return BitMatrix.from_packed(columns, matrix.rows)
 
 
 def random_connected_hypergraph(

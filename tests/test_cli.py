@@ -385,7 +385,7 @@ def test_spectra_solves_and_classifies_once(capsys, monkeypatch):
     count(Hypergraph, "is_uniform")
     code, _, _ = run(capsys, "spectra", FIXTURE_DIR / "c3_pow42.hg", "--json")
     assert code == 0
-    assert calls.pop("is_uniform") <= 2  # once per compiled tensor, not per evaluation
+    assert calls.pop("is_uniform") == 1  # one compiled tensor per op
     assert calls == {"spectral_radius": 1, "classify": 1}
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_solution_count, naive_rank, naive_solve
-from support import bit_rows
+from support import bit_matrix, bit_rows, transpose
 
 from oddtrans import (
     BitMatrix,
@@ -20,7 +20,7 @@ from oddtrans import (
     rank,
     solve,
 )
-from oddtrans.gf2 import Factorization, matvec, transpose
+from oddtrans.gf2 import Factorization, matvec
 
 C3 = fixtures()["c3_pow42"]
 
@@ -37,14 +37,14 @@ def test_rank_incidence_of_triangle_power():
 
 
 def test_rank_single_row():
-    assert rank(BitMatrix.from_bits([[1, 1]])) == 1
+    assert rank(bit_matrix([[1, 1]])) == 1
 
 
 def test_rank_seed42_matrix_against_naive_eliminator():
     bits = random_bits(random.Random(42), 5, 7)
     expected = naive_rank(bits)
     assert expected == 5  # frozen from the naive eliminator
-    assert rank(BitMatrix.from_bits(bits)) == expected
+    assert rank(bit_matrix(bits)) == expected
 
 
 def test_rank_matches_naive_eliminator_on_500_random_matrices():
@@ -53,7 +53,7 @@ def test_rank_matches_naive_eliminator_on_500_random_matrices():
         rows = rng.randint(1, 16)
         cols = rng.randint(1, 16)
         bits = random_bits(rng, rows, cols)
-        assert rank(BitMatrix.from_bits(bits)) == naive_rank(bits)
+        assert rank(bit_matrix(bits)) == naive_rank(bits)
 
 
 @given(st.data())
@@ -68,18 +68,18 @@ def test_rank_invariant_under_row_permutation_and_row_addition(data):
             max_size=rows,
         )
     )
-    m = BitMatrix.from_bits(bits)
+    m = bit_matrix(bits)
     base = rank(m)
 
     perm = data.draw(st.permutations(range(rows)))
-    assert rank(BitMatrix.from_bits([bits[i] for i in perm])) == base
+    assert rank(bit_matrix([bits[i] for i in perm])) == base
 
     src = data.draw(st.integers(0, rows - 1))
     dst = data.draw(st.integers(0, rows - 1))
     if src != dst:
         mutated = [row[:] for row in bits]
         mutated[dst] = [a ^ b for a, b in zip(mutated[dst], bits[src])]
-        assert rank(BitMatrix.from_bits(mutated)) == base
+        assert rank(bit_matrix(mutated)) == base
 
 
 # ---------------------------------------------------------------- solve
@@ -103,7 +103,7 @@ def test_solve_mixed_size_example_is_inconsistent():
 
 def test_solve_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve(BitMatrix.from_bits([[1, 0]]), BitVector.ones(2))
+        solve(bit_matrix([[1, 0]]), BitVector.ones(2))
 
 
 @given(st.data())
@@ -118,7 +118,7 @@ def test_solve_of_constructed_system_verifies(data):
             max_size=rows,
         )
     )
-    m = BitMatrix.from_bits(bits)
+    m = bit_matrix(bits)
     secret = BitVector(cols, data.draw(st.integers(0, (1 << cols) - 1)))
     b = matvec(m, secret)
     x = solve(m, b)
@@ -136,7 +136,7 @@ def test_factorization_matches_the_naive_eliminators(data):
     cols = data.draw(st.integers(0, 12))
     bits = [[data.draw(st.integers(0, 1)) for _ in range(cols)] for _ in range(rows)]
     rhs = [data.draw(st.integers(0, 1)) for _ in range(rows)]
-    m = BitMatrix.from_bits(bits, cols)
+    m = bit_matrix(bits, cols)
     f = Factorization(m)
     assert f.rank == naive_rank(bits)
     assert len(f.dependencies) == rows - f.rank
@@ -198,7 +198,7 @@ def test_nullspace_basis_spans_kernel():
     rng = random.Random(3)
     for _ in range(50):
         bits = random_bits(rng, rng.randint(1, 8), rng.randint(1, 10))
-        m = BitMatrix.from_bits(bits)
+        m = bit_matrix(bits)
         basis = Factorization(transpose(m)).dependencies
         assert len(basis) == m.cols - rank(m)
         for vec in basis:
@@ -210,7 +210,7 @@ def test_nullspace_basis_spans_kernel():
 
 def test_transpose_involution_and_shape():
     bits = [[1, 0, 1], [0, 1, 1]]
-    m = BitMatrix.from_bits(bits)
+    m = bit_matrix(bits)
     t = transpose(m)
     assert (t.rows, t.cols) == (3, 2)
     assert transpose(t) == m

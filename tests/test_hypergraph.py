@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from support import bit_rows, delete_edge, random_connected_hypergraph
+from support import bit_rows, delete_edge, random_connected_hypergraph, transpose
 
 from oddtrans import (
     HypergraphError,
@@ -14,7 +14,6 @@ from oddtrans import (
     projective_plane,
     rank,
 )
-from oddtrans.gf2 import transpose
 
 FIX = fixtures()
 

@@ -389,6 +389,10 @@ def test_invariant_checks_survive_optimized_mode():
         low, (row, combo) = next(iter(f.pivots.items()))
         f.pivots[low] = (row, combo ^ 1)
         expect_invariant_error(lambda: f.solve(gf2.BitVector(hg.m, 0b011)))
+        # A forged dependency: row 0 alone does not sum to zero.
+        f = gf2.Factorization(hg.incidence())
+        f.dependencies = (gf2.BitVector(hg.m, 0b001),)
+        expect_invariant_error(lambda: f.solve(gf2.BitVector.ones(hg.m)))
         """
     )
     src = Path(__file__).resolve().parents[1] / "src"
@@ -403,6 +407,7 @@ def test_invariant_checks_survive_optimized_mode():
     assert "meets the flipped side oddly" in result.stdout
     assert "single-edge deletions say minimal=True" in result.stdout
     assert "the solver produced a non-solution" in result.stdout
+    assert "a recorded dependency does not sum to zero" in result.stdout
 
 
 # ------------------------------------------------------------ derivatives
